@@ -292,6 +292,18 @@ module Make (N : NUM) : S with type num = N.t = struct
         cells
     in
     match
+      (* a row whose own bounds cross (two constraints on one expression
+         merged by the caller) admits no point at all *)
+      Array.iteri
+        (fun i c ->
+          match (c.clo, c.chi) with
+          | Some l, Some h when l >? N.add h N.margin ->
+            raise
+              (Infeasible_at
+                 (Printf.sprintf "row %d has empty bounds [%s, %s]" i
+                    (N.to_string l) (N.to_string h)))
+          | _ -> ())
+        cells;
       let passes = ref 0 in
       while !changed && !passes < 50 do
         changed := false;

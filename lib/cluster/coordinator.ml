@@ -37,13 +37,11 @@ let default_config ~listen ~shards =
     trace = None;
   }
 
-let c_requests = Obs.Counter.make "cluster.requests"
 let c_batch_submitted = Obs.Counter.make "cluster.batch.submitted"
 let c_batch_failed = Obs.Counter.make "cluster.batch.failed"
 let c_keys_moved = Obs.Counter.make "cluster.ring.keys_moved"
 let c_rebalances = Obs.Counter.make "cluster.ring.rebalances"
 let h_route = Obs.Histogram.make "cluster.route.seconds"
-let h_request = Obs.Histogram.make "cluster.request.seconds"
 
 (* a routed job: enough to answer id-addressed verbs and to resubmit
    after a shard death *)
@@ -60,44 +58,17 @@ type t = {
   shards : (string, Shard.t) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
   mutable next_id : int;
-  mutable next_rid : int;
-  draining : bool Atomic.t;
-  access_log : out_channel option;
-  mutable fwd_trace : (string * string) option;
-      (* the trace context forwarded to shard calls of the request being
-         handled: the incoming trace id with the coordinator's own span
-         id as the new parent (single event-loop domain, so a plain
-         mutable field is race-free) *)
+  front : Serve.Front.t;
   mutable last_shard : string option;
       (* the shard the current request was routed to, for the access log *)
 }
 
-let log t fmt =
-  Printf.ksprintf
-    (fun s -> if t.cfg.verbose then Printf.eprintf "[fleet] %s\n%!" s)
-    fmt
+let say cfg s = if cfg.verbose then Printf.eprintf "[fleet] %s\n%!" s
+let log t fmt = Printf.ksprintf (say t.cfg) fmt
 
-let now () = Obs.Clock.now ()
-
-(* one JSON object per request, like the shard server's access log, plus
-   the shard the request was routed to *)
-let log_access t fields =
-  match t.access_log with
-  | None -> ()
-  | Some oc ->
-    output_string oc (J.to_string (J.Obj (("ts", J.Float (now ())) :: fields)));
-    output_char oc '\n';
-    flush oc
-
-let ok_fields fields = J.Obj (("ok", J.Bool true) :: fields)
-
-let err ?retry_after msg =
-  J.Obj
-    ([ ("ok", J.Bool false); ("error", J.String msg) ]
-    @
-    match retry_after with
-    | Some s -> [ ("retry_after", J.Float s) ]
-    | None -> [])
+(* shard calls made while routing a request carry its trace context,
+   whose parent is the coordinator's cluster.request span *)
+let forward_to sh req = Shard.request ?trace:(Obs.Trace.get_context ()) sh req
 
 (* ---- placement ---- *)
 
@@ -146,7 +117,7 @@ let rec route_rpc t point req =
     match Hashtbl.find_opt t.shards name with
     | None -> Error (Printf.sprintf "unknown shard %s" name)
     | Some sh -> (
-      match Shard.request ?trace:t.fwd_trace sh req with
+      match forward_to sh req with
       | Ok resp ->
         t.last_shard <- Some name;
         Ok (name, resp)
@@ -179,7 +150,7 @@ let handle_submit t s =
   Obs.Histogram.time h_route @@ fun () ->
   let point = point_of_submit s in
   match route_rpc t point (P.Submit s) with
-  | Error e -> err e
+  | Error e -> P.err e
   | Ok (shard, resp) -> register t ~point ~payload:s ~shard resp
 
 (* fan a batch out one sub-batch per owning shard, gather, and
@@ -188,36 +159,24 @@ let handle_submit t s =
    redispatched, so a batch only loses items when no shards remain. *)
 let handle_batch t items =
   Obs.Counter.add c_batch_submitted (List.length items);
-  let slots = Array.make (List.length items) (err "unrouted") in
+  let slots = Array.make (List.length items) (P.err "unrouted") in
   let rec dispatch pending =
     if pending <> [] then begin
       match Ring.shards t.ring with
       | [] ->
         List.iter
-          (fun (i, _, _) -> slots.(i) <- err "no live shards")
+          (fun (i, _, _) -> slots.(i) <- P.err "no live shards")
           pending
       | ring_shards ->
-        let groups = Hashtbl.create (List.length ring_shards) in
+        (* grouped under the ring as it stands now: a death below
+           shrinks it and re-dispatches only that shard's group *)
+        let owned name (_, _, point) = owner_name t point = Some name in
         List.iter
-          (fun ((_, _, point) as item) ->
-            match owner_name t point with
-            | Some name ->
-              Hashtbl.replace groups name
-                (item
-                :: (match Hashtbl.find_opt groups name with
-                   | Some l -> l
-                   | None -> []))
-            | None -> ())
-          pending;
-        List.iter
-          (fun name ->
-            match Hashtbl.find_opt groups name with
-            | None -> ()
-            | Some rev_group -> (
-              let group = List.rev rev_group in
+          (fun (name, group) ->
+            if group <> [] then (
               let sh = Hashtbl.find t.shards name in
               match
-                Shard.request ?trace:t.fwd_trace sh
+                forward_to sh
                   (P.Submit_batch (List.map (fun (_, s, _) -> s) group))
               with
               | Error e ->
@@ -239,7 +198,7 @@ let handle_batch t items =
                   log t "batch to shard %s rejected; re-routing" name;
                   shard_down t sh;
                   dispatch group)))
-          ring_shards
+          (List.map (fun n -> (n, List.filter (owned n) pending)) ring_shards)
     end
   in
   dispatch (List.mapi (fun i s -> (i, s, point_of_submit s)) items);
@@ -251,7 +210,7 @@ let handle_batch t items =
       0 results
   in
   Obs.Counter.add c_batch_failed failed;
-  ok_fields [ ("results", J.List results) ]
+  P.ok_fields [ ("results", J.List results) ]
 
 (* id-addressed verbs (status/result/cancel): forward to the job's
    shard, translating ids both ways.  A dead shard triggers transparent
@@ -260,12 +219,12 @@ let handle_batch t items =
    sees the seam. *)
 let forward_job t id make_req =
   match Hashtbl.find_opt t.jobs id with
-  | None -> err (Printf.sprintf "unknown job %d" id)
+  | None -> P.err (Printf.sprintf "unknown job %d" id)
   | Some job ->
     let rec forward () =
       match Hashtbl.find_opt t.shards job.shard with
       | Some sh when Shard.alive sh && Ring.mem t.ring job.shard -> (
-        match Shard.request ?trace:t.fwd_trace sh (make_req job.remote_id) with
+        match forward_to sh (make_req job.remote_id) with
         | Ok resp ->
           t.last_shard <- Some job.shard;
           rewrite_id resp id
@@ -277,7 +236,7 @@ let forward_job t id make_req =
     and reroute () =
       log t "job %d: shard %s is gone, resubmitting" id job.shard;
       match route_rpc t job.point (P.Submit job.payload) with
-      | Error e -> err e
+      | Error e -> P.err e
       | Ok (name, resp) -> (
         match (J.member "ok" resp, J.member "id" resp) with
         | Some (J.Bool true), Some (J.Int remote_id) ->
@@ -294,16 +253,16 @@ let handle_stats t =
       (fun (name, _) ->
         let sh = Hashtbl.find t.shards name in
         let stats =
-          if not (Shard.alive sh) then err "shard is dead"
+          if not (Shard.alive sh) then P.err "shard is dead"
           else
             match Shard.request sh P.Stats with
             | Ok resp -> resp
-            | Error e -> err e
+            | Error e -> P.err e
         in
         (name, stats))
       t.cfg.shards
   in
-  ok_fields
+  P.ok_fields
     [
       ( "ring",
         J.Obj
@@ -342,170 +301,48 @@ let handle_metrics t =
         | Error e -> log t "metrics from shard %s failed: %s" name e)
     t.cfg.shards;
   Buffer.add_string buf (Obs.to_prometheus ~namespace:"topoguard" (Obs.snapshot ()));
-  ok_fields [ ("metrics", J.String (Buffer.contents buf)) ]
+  P.ok_fields [ ("metrics", J.String (Buffer.contents buf)) ]
 
-let handle_shutdown t =
-  Hashtbl.iter
-    (fun _ sh -> if Shard.alive sh then ignore (Shard.request sh P.Shutdown))
-    t.shards;
-  Atomic.set t.draining true;
-  ok_fields [ ("draining", J.Bool true) ]
 
 let handle_request t (req : P.request) =
-  Obs.Counter.incr c_requests;
   match req with
   | P.Submit s ->
-    if Atomic.get t.draining then err "draining" else handle_submit t s
+    if Serve.Front.draining t.front then P.err "draining"
+    else handle_submit t s
   | P.Submit_batch items ->
-    if Atomic.get t.draining then err "draining" else handle_batch t items
+    if Serve.Front.draining t.front then P.err "draining"
+    else handle_batch t items
   | P.Status id -> forward_job t id (fun rid -> P.Status rid)
   | P.Result id -> forward_job t id (fun rid -> P.Result rid)
   | P.Cancel id -> forward_job t id (fun rid -> P.Cancel rid)
-  | P.Sync _ -> err "the coordinator holds no store; sync a shard directly"
+  | P.Sync _ -> P.err "the coordinator holds no store; sync a shard directly"
   | P.Stats -> handle_stats t
   | P.Metrics -> handle_metrics t
-  | P.Shutdown -> handle_shutdown t
+  | P.Shutdown ->
+    Serve.Front.drain t.front;
+    P.ok_fields [ ("draining", J.Bool true) ]
 
-let handle_line t line =
-  let t0 = now () in
+(* the routed shard (read once: a request that fails to parse never
+   reaches [handle_request]) and the trace id *)
+let access_fields t ~trace _reply =
+  let shard = t.last_shard in
   t.last_shard <- None;
-  t.fwd_trace <- None;
-  let rid, verb, ctx, resp =
-    match J.of_string line with
-    | Error e -> (None, "invalid", None, err ("bad json: " ^ e))
-    | Ok j -> (
-      let rid = P.request_id_of_json j in
-      let verb =
-        match J.member "op" j with Some (J.String s) -> s | _ -> "invalid"
-      in
-      (* a request without a trace context is minted one at the front
-         door (when tracing is on), so a whole fleet run correlates even
-         for v0 clients; either way the forwarded context carries the
-         coordinator's own span id as the new parent *)
-      let ctx =
-        match P.trace_of_json j with
-        | Some _ as c -> c
-        | None ->
-          if Obs.Trace.enabled () then Some (Obs.Trace.new_trace_id (), "")
-          else None
-      in
-      t.fwd_trace <-
-        Option.map (fun (id, _) -> (id, Obs.Trace.new_span_id ())) ctx;
-      match P.request_of_json j with
-      | Error e -> (rid, verb, ctx, err e)
-      | Ok req ->
-        ( rid,
-          verb,
-          ctx,
-          Obs.Trace.with_context ctx (fun () -> handle_request t req) ))
-  in
-  let rid =
-    match rid with
-    | Some r -> r
-    | None ->
-      let r = Printf.sprintf "c%d" t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      r
-  in
-  let resp =
-    match resp with
-    | J.Obj fields ->
-      J.Obj
-        (fields @ [ ("request_id", J.String rid); ("v", J.Int P.version) ])
-    | other -> other
-  in
-  let latency = now () -. t0 in
-  Obs.Histogram.observe h_request latency;
-  Obs.Trace.with_context ctx (fun () ->
-      Obs.Trace.complete
-        ~args:
-          ([ ("verb", verb); ("request_id", rid) ]
-          @ (match t.last_shard with
-            | Some s -> [ ("shard", s) ]
-            | None -> [])
-          @
-          match t.fwd_trace with
-          | Some (_, span) -> [ ("span", span) ]
-          | None -> [])
-        ~ts:t0 ~dur:latency "cluster.request");
-  let outcome =
-    match resp with
-    | J.Obj fields -> (
-      match List.assoc_opt "ok" fields with
-      | Some (J.Bool true) -> "ok"
-      | _ -> "error")
-    | _ -> "error"
-  in
-  log_access t
-    ([
-       ("kind", J.String "request");
-       ("request_id", J.String rid);
-       ("verb", J.String verb);
-       ("outcome", J.String outcome);
-     ]
-    @ (match t.last_shard with
-      | Some s -> [ ("shard", J.String s) ]
-      | None -> [])
-    @ (match ctx with
-      | Some (trace_id, _) -> [ ("trace", J.String trace_id) ]
-      | None -> [])
-    @ [ ("latency_s", J.Float latency) ]);
-  resp
-
-(* ---- event loop (same shape as the shard server's, minus jobs) ---- *)
-
-exception Closed
-
-type conn = { fd : Unix.file_descr; mutable carry : string }
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go ofs =
-    if ofs < n then
-      match Unix.single_write fd b ofs (n - ofs) with
-      | w -> go (ofs + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ignore (Unix.select [] [ fd ] [] 1.0);
-        go ofs
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        raise Closed
-  in
-  go 0
+  (match shard with Some s -> [ ("shard", J.String s) ] | None -> [])
+  @ match trace with Some id -> [ ("trace", J.String id) ] | None -> []
 
 let run (cfg : config) =
-  Obs.Clock.set Unix.gettimeofday;
-  Obs.set_enabled true;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let names = List.map fst cfg.shards in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then Error "duplicate shard names"
   else if names = [] then Error "a fleet needs at least one shard"
   else
-    match Serve.Transport.listen cfg.listen with
+    match
+      Serve.Front.listen ~name:"cluster" ~rid_prefix:"c" ~listen:cfg.listen
+        ~max_line:cfg.max_line ~access_log:cfg.access_log ~trace:cfg.trace
+        ~log:(say cfg)
+    with
     | Error e -> Error e
-    | Ok listener -> (
-      Unix.set_nonblock listener;
-      let access_log =
-        match cfg.access_log with
-        | None -> Ok None
-        | Some path -> (
-          match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-          | oc -> Ok (Some oc)
-          | exception Sys_error e -> Error ("access log: " ^ e))
-      in
-      match access_log with
-      | Error e ->
-        (* refuse to route blind, like the shard server *)
-        (try Unix.close listener with Unix.Unix_error _ -> ());
-        Serve.Transport.cleanup cfg.listen;
-        Error e
-      | Ok access_log ->
-      if cfg.trace <> None then begin
-        Obs.Trace.set_pid (Unix.getpid ());
-        Obs.Trace.set_enabled true
-      end;
+    | Ok front ->
       let shards = Hashtbl.create (List.length cfg.shards) in
       List.iter
         (fun (name, ep) -> Hashtbl.replace shards name (Shard.make ~name ep))
@@ -517,109 +354,25 @@ let run (cfg : config) =
           shards;
           jobs = Hashtbl.create 256;
           next_id = 1;
-          next_rid = 1;
-          draining = Atomic.make false;
-          access_log;
-          fwd_trace = None;
+          front;
           last_shard = None;
         }
-      in
-      let prev_term =
-        Sys.signal Sys.sigterm
-          (Sys.Signal_handle (fun _ -> Atomic.set t.draining true))
       in
       log t "coordinator on %s routing to %d shard(s)"
         (Serve.Transport.endpoint_to_string cfg.listen)
         (List.length names);
-      let conns = ref [] in
-      let close_conn c =
-        (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        conns := List.filter (fun c' -> c' != c) !conns
-      in
-      let feed conn chunk =
-        (* oversized lines (complete or accumulating) close the
-           connection, as in the shard server *)
-        let oversized conn =
-          write_all conn.fd
-            (J.to_string
-               (err (Printf.sprintf "line exceeds %d bytes" cfg.max_line))
-            ^ "\n");
-          raise Closed
-        in
-        let data = conn.carry ^ chunk in
-        let lines = String.split_on_char '\n' data in
-        let rec go = function
-          | [] -> conn.carry <- ""
-          | [ last ] ->
-            if String.length last > cfg.max_line then oversized conn
-            else conn.carry <- last
-          | line :: rest ->
-            if String.length line > cfg.max_line then oversized conn;
-            (if String.trim line <> "" then
-               let resp = handle_line t line in
-               write_all conn.fd (J.to_string resp ^ "\n"));
-            go rest
-        in
-        go lines
-      in
-      let read_conn conn =
-        let buf = Bytes.create 65536 in
-        match Unix.read conn.fd buf 0 (Bytes.length buf) with
-        | 0 -> close_conn conn
-        | n -> (
-          match feed conn (Bytes.sub_string buf 0 n) with
-          | () -> ()
-          | exception Closed -> close_conn conn)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-          ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          close_conn conn
-      in
-      while not (Atomic.get t.draining) do
-        let read_fds = listener :: List.map (fun c -> c.fd) !conns in
-        let readable, _, _ =
-          match Unix.select read_fds [] [] 0.05 with
-          | r -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        if List.mem listener readable then begin
-          let continue = ref true in
-          while !continue do
-            match Unix.accept listener with
-            | fd, _ ->
-              Unix.set_nonblock fd;
-              conns := { fd; carry = "" } :: !conns
-            | exception
-                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              continue := false
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          done
-        end;
-        List.iter
-          (fun conn -> if List.mem conn.fd readable then read_conn conn)
-          !conns
-      done;
-      (* drain: make sure every shard got the word (a SIGTERM sets the
-         flag without passing through handle_shutdown), then tear down *)
+      Serve.Front.run front
+        {
+          Serve.Front.handle = handle_request t;
+          access_fields = access_fields t;
+          tick = ignore;
+          finished = (fun () -> true);
+        };
+      (* the drain, by shutdown verb or SIGTERM, reaches every shard *)
       Hashtbl.iter
         (fun _ sh ->
           if Shard.alive sh then ignore (Shard.request sh P.Shutdown);
           Shard.close sh)
         t.shards;
       log t "draining: %d job(s) routed" (t.next_id - 1);
-      List.iter
-        (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        !conns;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      Serve.Transport.cleanup cfg.listen;
-      (match cfg.trace with
-      | Some path ->
-        Obs.Trace.set_enabled false;
-        Obs.Trace.write_file path;
-        log t "trace written to %s" path
-      | None -> ());
-      (match t.access_log with Some oc -> close_out oc | None -> ());
-      Sys.set_signal Sys.sigterm prev_term;
-      Ok ())
+      Ok ()

@@ -2,7 +2,8 @@
     shard, owns no store and no solver, and only decides {e where} each
     request runs — by consistent hashing ({!Ring}) over the same
     canonical job keys the shards cache under, so identical scenarios
-    always land on the shard whose LRU/journal already holds them.
+    always land on the shard whose LRU/journal already holds them.  It
+    runs the same request loop as a shard server ({!Serve.Front}).
 
     Job ids are rewritten at the boundary (clients hold coordinator
     ids; shard-local ids never escape) and each job's payload and

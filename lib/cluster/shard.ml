@@ -5,8 +5,7 @@
    the shard speaking and prove it alive; only transport failures count
    against it.  A transport failure on an existing connection gets one
    fresh dial (the shard may simply have restarted); if that also
-   fails, the shard is marked dead and stays dead until [revive] — the
-   coordinator decides when (if ever) to re-admit it to the ring. *)
+   fails, the shard is marked dead and stays dead. *)
 
 type t = {
   name : string;
@@ -17,7 +16,6 @@ type t = {
 
 let make ~name endpoint = { name; endpoint; conn = None; alive = true }
 let name t = t.name
-let endpoint t = t.endpoint
 let alive t = t.alive
 
 let drop_conn t =
@@ -32,8 +30,6 @@ let close t = drop_conn t
 let mark_dead t =
   drop_conn t;
   t.alive <- false
-
-let revive t = t.alive <- true
 
 let connection t =
   match t.conn with

@@ -184,8 +184,16 @@ let build t =
   let pend = Hashtbl.fold (fun _ p acc -> p :: acc) t.pending [] in
   let pend = List.sort (fun a b -> compare a.order b.order) pend in
   if not t.presolve then begin
-    List.iter (fun p -> install_row t p.pterms p.plo p.phi) pend;
-    `Ok
+    (* phase I only checks basic variables, so a slack whose bounds cross
+       would sit nonbasic at one of them and pass as feasible *)
+    let crossed p =
+      match (p.plo, p.phi) with Some l, Some h -> Q.( > ) l h | _ -> false
+    in
+    if List.exists crossed pend then `Infeasible
+    else begin
+      List.iter (fun p -> install_row t p.pterms p.plo p.phi) pend;
+      `Ok
+    end
   end
   else begin
     let n = t.user_vars in

@@ -20,62 +20,84 @@ module Frame = struct
   type reader = {
     fd : Unix.file_descr;
     max_line : int;
-    buf : Buffer.t;
+    carry : Buffer.t;  (* the unterminated tail of what was read *)
+    lines : string Queue.t;  (* complete lines not yet taken *)
     chunk : Bytes.t;
+    mutable oversized : bool;
     mutable eof : bool;
   }
 
   let reader ?(max_line = default_max_line) fd =
-    { fd; max_line; buf = Buffer.create 4096; chunk = Bytes.create 65536; eof = false }
+    {
+      fd;
+      max_line;
+      carry = Buffer.create 4096;
+      lines = Queue.create ();
+      chunk = Bytes.create 65536;
+      oversized = false;
+      eof = false;
+    }
 
-  (* blocking: read until one full line, EOF, or the cap is exceeded.
-     After [`Oversized] the stream is out of sync — callers must close. *)
-  let read_line r =
-    let take_line () =
-      let data = Buffer.contents r.buf in
-      match String.index_opt data '\n' with
-      | None -> None
-      | Some nl ->
-        Buffer.clear r.buf;
-        Buffer.add_string r.buf
-          (String.sub data (nl + 1) (String.length data - nl - 1));
-        Some (String.sub data 0 nl)
-    in
-    let rec go () =
-      match take_line () with
-      | Some line -> `Line line
-      | None ->
-        if Buffer.length r.buf > r.max_line then `Oversized
-        else if r.eof then `Eof
-        else (
-          match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-          | 0 ->
-            r.eof <- true;
-            `Eof
-          | n ->
-            Buffer.add_subbytes r.buf r.chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            r.eof <- true;
-            `Eof)
-    in
-    go ()
+  let next r =
+    if not (Queue.is_empty r.lines) then `Line (Queue.pop r.lines)
+    else if r.oversized then `Oversized
+    else if r.eof then `Eof
+    else `Empty
 
+  (* one read.  A line past the cap, complete or still accumulating, ends
+     the stream: it cannot be resynchronised. *)
+  let fill r =
+    match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+    | 0 -> r.eof <- true
+    | n ->
+      let chunk = Bytes.sub_string r.chunk 0 n in
+      (match String.rindex_opt chunk '\n' with
+      | None -> Buffer.add_string r.carry chunk
+      | Some last ->
+        Buffer.add_substring r.carry chunk 0 last;
+        let lines = String.split_on_char '\n' (Buffer.contents r.carry) in
+        Buffer.clear r.carry;
+        Buffer.add_substring r.carry chunk (last + 1) (n - last - 1);
+        List.iter
+          (fun l ->
+            if String.length l > r.max_line then r.oversized <- true
+            else if not r.oversized then Queue.push l r.lines)
+          lines);
+      if Buffer.length r.carry > r.max_line then r.oversized <- true
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      ()
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+      r.eof <- true
+
+  let rec read_line r =
+    match next r with
+    | `Empty ->
+      fill r;
+      read_line r
+    | (`Line _ | `Oversized | `Eof) as x -> x
+
+  (* blocking descriptors only: partial writes are retried *)
   let write_line fd s =
-    let b = Bytes.of_string (s ^ "\n") in
-    let n = Bytes.length b in
+    let s = s ^ "\n" in
     let rec go ofs =
-      if ofs < n then
-        match Unix.single_write fd b ofs (n - ofs) with
+      if ofs < String.length s then
+        match Unix.single_write_substring fd s ofs (String.length s - ofs) with
         | w -> go (ofs + w)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ignore (Unix.select [] [ fd ] [] 1.0);
-          go ofs
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs
     in
     go 0
 end
+
+let ok_fields fields = J.Obj (("ok", J.Bool true) :: fields)
+
+let err ?retry_after msg =
+  J.Obj
+    ([ ("ok", J.Bool false); ("error", J.String msg) ]
+    @
+    match retry_after with
+    | Some s -> [ ("retry_after", J.Float s) ]
+    | None -> [])
 
 type submit = {
   grid : string;

@@ -13,10 +13,11 @@
 val version : int
 (** The protocol version this build speaks (1). *)
 
-(** Transport-agnostic line framing: blocking reads with a cap on line
-    length, so a malformed or hostile peer cannot balloon the receive
-    buffer.  The non-blocking server event loop enforces the same cap on
-    its own carry buffer; this module is the client/coordinator side. *)
+(** Transport-agnostic line framing with a cap on line length, so a
+    malformed or hostile peer cannot balloon a receive buffer: blocking
+    {!read_line} for clients and shard channels, {!next}/{!fill} for the
+    non-blocking request loop ({!Front}).  The cap is decided here and
+    nowhere else. *)
 module Frame : sig
   val default_max_line : int
   (** 64 MiB — a [submit_batch] line carries whole grid files per item,
@@ -30,9 +31,27 @@ module Frame : sig
   (** Blocking.  After [`Oversized] the stream is desynchronised and
       must be closed. *)
 
+  val next : reader -> [ `Line of string | `Eof | `Oversized | `Empty ]
+  (** The next line already received, without reading; [`Empty] when
+      nothing is buffered yet.  [`Oversized] and [`Eof] come only after
+      every complete line before them. *)
+
+  val fill : reader -> unit
+  (** One read into the reader's buffer, returning at once on a
+      non-blocking descriptor with nothing to read.  Connection resets
+      count as end of stream; other errors raise [Unix.Unix_error]. *)
+
   val write_line : Unix.file_descr -> string -> unit
-  (** Write [s ^ "\n"], retrying partial writes. *)
+  (** Write [s ^ "\n"] to a blocking descriptor, retrying partial
+      writes. *)
 end
+
+val ok_fields : (string * Obs.Json.t) list -> Obs.Json.t
+(** A success reply: [{"ok": true, ...fields}]. *)
+
+val err : ?retry_after:float -> string -> Obs.Json.t
+(** A failure reply: [{"ok": false, "error": msg}], plus [retry_after]
+    seconds when given. *)
 
 type submit = {
   grid : string;  (** grid-file content, paper text format *)

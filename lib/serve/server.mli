@@ -3,7 +3,8 @@
     One process owns a listening stream socket ({!Transport}: the
     Unix-domain default, or TCP for fleet shards) and a {!Pool} of
     worker domains; clients speak the line-delimited JSON protocol of
-    {!Protocol}.  Submissions are keyed through {!Store.Canonical} and
+    {!Protocol}, and the server is a handler of the shared request loop
+    {!Front}.  Submissions are keyed through {!Store.Canonical} and
     answered from the content-addressed store when possible — a cache hit
     short-circuits the whole job (no solver is created at all).  Misses
     enter a bounded FIFO queue (backpressure: a full queue rejects with
@@ -19,8 +20,8 @@
     Every figure is observable: [serve.queue.depth] (a gauge maintained
     with +1/-1 counter updates), [serve.jobs.{submitted,done,failed,
     timeout,cancelled,rejected,cache_hits,completed}], [serve.requests],
-    [store.{hit,miss,evict,insert}], the [serve.job.{wait,run}] timers
-    and the [serve.job.{wait,service}_seconds] / [serve.request.seconds]
+    [store.{hit,miss,evict,insert}] and the
+    [serve.job.{wait,service}_seconds] / [serve.request.seconds]
     histograms all land in the ordinary [Obs] snapshot, which both the
     [stats] op and the CLI's [--stats]/[--stats-json] report.  The
     [metrics] op returns the same data as Prometheus text exposition

@@ -93,15 +93,8 @@ let scan_internal path =
 
 let scan path = Result.map fst (scan_internal path)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go ofs =
-    if ofs < n then
-      let w = Unix.write fd b ofs (n - ofs) in
-      go (ofs + w)
-  in
-  go 0
+(* Unix.write retries partial writes itself *)
+let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 
 let open_append path =
   match scan_internal path with
@@ -112,7 +105,7 @@ let open_append path =
       if valid = 0 then begin
         (* new or empty file: start with the magic line *)
         Unix.ftruncate fd 0;
-        write_all fd magic
+        write_string fd magic
       end
       else Unix.ftruncate fd valid;
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
@@ -122,7 +115,7 @@ let open_append path =
 
 let append t ~key ~value =
   if t.closed then invalid_arg "Journal.append: closed";
-  write_all t.fd (encode ~key ~value)
+  write_string t.fd (encode ~key ~value)
 
 let close t =
   if not t.closed then begin
@@ -162,8 +155,8 @@ let compact path =
       let fd =
         Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
       in
-      write_all fd magic;
-      List.iter (fun (key, value) -> write_all fd (encode ~key ~value)) keep;
+      write_string fd magic;
+      List.iter (fun (key, value) -> write_string fd (encode ~key ~value)) keep;
       Unix.fsync fd;
       Unix.close fd;
       Unix.rename tmp path;

@@ -1,8 +1,9 @@
 (* Tests for lib/cluster and the fleet-facing serve extensions: ring
    determinism / balance / minimal movement, protocol versioning, batch
    submit ordering, a TCP server roundtrip with oversized-line
-   rejection, and the peer journal sync that lets a cold shard rejoin
-   warm. *)
+   rejection at both front doors, a peer that never reads stalling
+   neither a server nor a coordinator, and the peer journal sync that
+   lets a cold shard rejoin warm. *)
 
 module J = Obs.Json
 module P = Serve.Protocol
@@ -200,6 +201,104 @@ let free_port () =
   Unix.close fd;
   port
 
+let counter name = Obs.Counter.get (Obs.Counter.make name)
+
+(* a line past the cap is answered with one error and the connection
+   closed (the stream is desynchronised), by a server and a coordinator
+   alike, and counted under the front door's name *)
+let rejects_oversized endpoint ~name =
+  let before = counter (name ^ ".requests.oversized") in
+  let c = connect_retry endpoint in
+  let resp =
+    Serve.Client.rpc c
+      (J.Obj
+         [
+           ("op", J.String "submit");
+           ("grid", J.String (String.make 8192 'x'));
+         ])
+  in
+  (match resp with
+  | Ok r ->
+    Alcotest.(check bool) (name ^ " rejected") false (bool_field "ok" r);
+    Alcotest.(check int) (name ^ " reply carries v") P.version (int_field "v" r)
+  | Error _ -> () (* a reset can overtake the reply on loopback TCP *));
+  (match Serve.Client.request c P.Stats with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s connection survived an oversized line" name);
+  Serve.Client.close c;
+  Alcotest.(check int) (name ^ ".requests.oversized counted") 1
+    (counter (name ^ ".requests.oversized") - before)
+
+(* a peer with a small receive buffer that pipelines [metrics] requests
+   and never reads a reply *)
+let silent_peer endpoint =
+  let domain, addr =
+    match endpoint with
+    | Serve.Transport.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Serve.Transport.Tcp (host, port) ->
+      (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd addr;
+  Unix.set_nonblock fd;
+  let line = J.to_string (P.json_of_request P.Metrics) ^ "\n" in
+  let burst = String.concat "" (List.init 2000 (fun _ -> line)) in
+  let rec push ofs =
+    if ofs < String.length burst then
+      match
+        Unix.single_write_substring fd burst ofs (String.length burst - ofs)
+      with
+      | n -> push (ofs + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ()
+  in
+  push 0;
+  fd
+
+(* seconds until a fresh client's [stats] is answered, failing past 1 s *)
+let stats_latency endpoint =
+  let fd =
+    match Serve.Transport.dial endpoint with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "dial: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      P.Frame.write_line fd (J.to_string (P.json_of_request P.Stats));
+      (match Unix.select [ fd ] [] [] 1.0 with
+      | [], _, _ -> Alcotest.fail "second client unanswered after 1 s"
+      | _ -> ());
+      (match P.Frame.read_line (P.Frame.reader fd) with
+      | `Line l -> ignore (expect_ok (J.of_string l))
+      | `Eof | `Oversized -> Alcotest.fail "no stats reply");
+      Unix.gettimeofday () -. t0)
+
+(* the non-reading peer holds at most one reply; everybody else is served
+   and SIGTERM still drains [front] *)
+let no_stall endpoint front =
+  let peer = silent_peer endpoint in
+  Fun.protect
+    ~finally:(fun () -> Unix.close peer)
+    (fun () ->
+      (* let the loop take the burst and fill the peer's buffer *)
+      Unix.sleepf 0.3;
+      let dt = stats_latency endpoint in
+      Alcotest.(check bool)
+        (Printf.sprintf "answered in %.3f s" dt)
+        true (dt < 1.0);
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      match
+        Pool.Future.await_timeout ~clock:Unix.gettimeofday
+          ~sleep:(fun () -> Unix.sleepf 0.02)
+          ~seconds:10. front
+      with
+      | Some (Ok ()) -> ()
+      | Some (Error e) -> Alcotest.failf "exit: %s" e
+      | None -> Alcotest.fail "SIGTERM drain did not complete")
+
 let shutdown_server c server =
   ignore (expect_ok (Serve.Client.request c P.Shutdown));
   Serve.Client.close c;
@@ -276,25 +375,70 @@ let server_tests =
         let r2 = expect_ok (Serve.Client.submit c (submit_of ())) in
         Alcotest.(check bool) "tcp resubmit cached" true
           (bool_field "cached" r2);
-        (* a line past the cap is answered with an error and the
-           connection closed: the stream is desynchronised *)
-        let c2 = connect_retry endpoint in
-        let resp =
-          Serve.Client.rpc c2
-            (J.Obj
-               [
-                 ("op", J.String "submit");
-                 ("grid", J.String (String.make 8192 'x'));
-               ])
+        rejects_oversized endpoint ~name:"serve";
+        Serve.Client.close c;
+        (* the coordinator's front door behaves the same *)
+        let front = Serve.Transport.Tcp ("127.0.0.1", free_port ()) in
+        let coordinator =
+          Pool.detached (fun () ->
+              Cluster.Coordinator.run
+                {
+                  (Cluster.Coordinator.default_config ~listen:front
+                     ~shards:[ ("shard-0", endpoint) ])
+                  with
+                  Cluster.Coordinator.max_line = 4096;
+                })
         in
-        (match resp with
-        | Ok r -> Alcotest.(check bool) "rejected" false (bool_field "ok" r)
-        | Error _ -> () (* closed before replying is also acceptable *));
-        (match Serve.Client.request c2 P.Stats with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "connection survived an oversized line");
-        Serve.Client.close c2;
-        shutdown_server c server);
+        rejects_oversized front ~name:"cluster";
+        (* a coordinator shutdown drains the shard behind it too *)
+        shutdown_server (connect_retry front) coordinator;
+        match Pool.Future.await server with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "server exit: %s" e);
+    Alcotest.test_case "a non-reading peer stalls no server" `Slow (fun () ->
+        let endpoint = Serve.Transport.Tcp ("127.0.0.1", free_port ()) in
+        let server =
+          Pool.detached (fun () ->
+              Serve.Server.run
+                {
+                  (Serve.Server.default_config ~socket_path:"/nonexistent") with
+                  Serve.Server.listen = Some endpoint;
+                })
+        in
+        Serve.Client.close (connect_retry endpoint);
+        no_stall endpoint server);
+    Alcotest.test_case "a non-reading peer stalls no coordinator" `Slow
+      (fun () ->
+        let pid = Unix.getpid () in
+        let sock_s = tmp (Printf.sprintf "tg-st-s-%d.sock" pid) in
+        let sock_co = tmp (Printf.sprintf "tg-st-co-%d.sock" pid) in
+        let files = [ sock_s; sock_co ] in
+        List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files;
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files)
+          (fun () ->
+            let shard =
+              Pool.detached (fun () ->
+                  Serve.Server.run
+                    (Serve.Server.default_config ~socket_path:sock_s))
+            in
+            let shard_ep = Serve.Transport.Unix_sock sock_s in
+            Serve.Client.close (connect_retry shard_ep);
+            (* started last, so SIGTERM reaches the coordinator, which
+               forwards the drain to its shard *)
+            let endpoint = Serve.Transport.Unix_sock sock_co in
+            let coordinator =
+              Pool.detached (fun () ->
+                  Cluster.Coordinator.run
+                    (Cluster.Coordinator.default_config ~listen:endpoint
+                       ~shards:[ ("shard-0", shard_ep) ]))
+            in
+            Serve.Client.close (connect_retry endpoint);
+            no_stall endpoint coordinator;
+            match Pool.Future.await shard with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "shard exit: %s" e));
     Alcotest.test_case "a cold shard pulls its range from a warm peer" `Slow
       (fun () ->
         let pid = Unix.getpid () in

@@ -60,6 +60,30 @@ let basic_tests =
         Lp.add_ge t (L.var x) (Q.of_int 2);
         Alcotest.(check bool) "infeasible" true
           (Lp.minimize t (L.var x) = Lp.Infeasible));
+    Alcotest.test_case "rows merged into crossed bounds are infeasible" `Quick
+      (fun () ->
+        (* -2x0 - 2x1 + x2 >= 0 and = -1 merge into one pending row with
+           lo 0 > hi -1; the simplex must not answer Optimal 0 at
+           x = (1/2, 0, 0), with presolve on or off *)
+        List.iter
+          (fun presolve ->
+            let t = Lp.create ~presolve () in
+            let x0 = Lp.add_var ~lo:Q.zero t in
+            let x1 = Lp.add_var ~lo:Q.minus_one t in
+            let x2 = Lp.add_var ~lo:Q.minus_one ~hi:Q.zero t in
+            let e =
+              L.add
+                (L.scale (Q.of_int (-2)) (L.add (L.var x0) (L.var x1)))
+                (L.var x2)
+            in
+            Lp.add_le t (L.add (L.var x1) (L.var x2)) Q.zero;
+            Lp.add_ge t e Q.zero;
+            Lp.add_eq t e Q.minus_one;
+            Alcotest.(check bool)
+              (Printf.sprintf "infeasible (presolve %b)" presolve)
+              true
+              (Lp.minimize t (L.const Q.zero) = Lp.Infeasible))
+          [ true; false ]);
     Alcotest.test_case "unbounded" `Quick (fun () ->
         let t = Lp.create () in
         let x = Lp.add_var ~hi:Q.zero t in
