@@ -56,14 +56,12 @@ let grid14 = Grid.Spec.print (Grid.Test_systems.ieee 14)
 let scenarios =
   List.init 50 (fun k ->
       {
-        P.grid = (if k mod 2 = 0 then grid5 else grid14);
-        mode = "topo";
+        P.default_submit with
+        grid = (if k mod 2 = 0 then grid5 else grid14);
         base = "proportional";
         increase = Some (string_of_int (1 + (k / 2)));
         max_candidates = 20;
         single_line = true;
-        backend = "lp";
-        timeout = 0.;
       })
 
 (* ---- JSON helpers ---- *)

@@ -53,14 +53,12 @@ let grid5 = Grid.Spec.print (Grid.Test_systems.case_study_1 ())
 
 let sub ?increase () =
   {
-    P.grid = grid5;
-    mode = "topo";
+    P.default_submit with
+    grid = grid5;
     base = "proportional";
     increase;
     max_candidates = 20;
     single_line = true;
-    backend = "lp";
-    timeout = 0.;
   }
 
 (* warm set: three scenarios that repeat (the cache-hit path); cold set:

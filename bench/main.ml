@@ -384,7 +384,7 @@ let abl_factors sink =
       let t_fast, r_fast =
         match
           run_with_timeout (fun () ->
-              let t, r = time (fun () -> Opf.Opf_auto.solve_factors topo) in
+              let t, r = time (fun () -> Opf.Float_opf.solve topo) in
               (t, r))
         with
         | Some v -> v
@@ -451,9 +451,6 @@ let abl_fastpath sink =
                 {
                   Topoguard.Impact.default_config with
                   Topoguard.Impact.mode = Enc.Topology_only;
-                  backend =
-                    (if n >= 30 then Topoguard.Impact.Fast_factors
-                     else Topoguard.Impact.Lp_exact);
                   max_topology_changes = Some 1;
                   use_closed_form;
                   jobs;

@@ -5,11 +5,13 @@
    journal, then over the wire: submits the 5-bus case-study scenario
    twice and proves the second answer comes from the content-addressed
    store (cached = true, store.hit counted, and *zero* new simplex
-   pivots in either LP backend); forces one per-job wall-clock timeout
-   and one cooperative cancellation (queued and running); finally sends
-   SIGTERM and requires a graceful drain: exit status 0 and the socket
-   file removed.  The journal left behind must answer the submission
-   offline, with no server at all.
+   pivots); refuses the retired "lp"/"smt" backends with one error reply
+   each; answers a cold single-line 57-bus job within a wall-clock
+   bound; forces one per-job wall-clock timeout and one cooperative
+   cancellation (queued and running); finally sends SIGTERM and requires
+   a graceful drain: exit status 0 and the socket file removed.  The
+   journal left behind must answer the submission offline, with no
+   server at all.
 
    CI entry point: dune build @serve-smoke *)
 
@@ -36,17 +38,12 @@ let cleanup () =
 let grid5 = Grid.Spec.print (Grid.Test_systems.case_study_1 ())
 let grid57 = Grid.Spec.print (Grid.Test_systems.ieee 57)
 
+(* slow on the production path: a seeded 300-bus grid keeps a single-line
+   job verifying for seconds *)
+let grid300 = Grid.Spec.print (Grid.Gen.make ~seed:300 300)
+
 let submit5 =
-  {
-    P.grid = grid5;
-    mode = "topo";
-    base = "case-study";
-    increase = None;
-    max_candidates = 50;
-    single_line = true;
-    backend = "lp";
-    timeout = 0.;
-  }
+  { P.default_submit with grid = grid5; max_candidates = 50; single_line = true }
 
 (* ---- JSON helpers ---- *)
 
@@ -224,17 +221,50 @@ let () =
   if inf <> completed then
     fail "service histogram +Inf bucket %g <> completed total %g" inf completed;
 
-  (* 3. per-job wall-clock timeout: a 57-bus exact analysis cannot finish
-     in a millisecond; the deadline probe must end it as "timeout" *)
+  (* 2c. the retired formulations: each submit gets exactly one error
+     reply (the stats right after must read its own reply, not a second
+     one for the refused submit) *)
+  List.iter
+    (fun backend ->
+      let line =
+        match P.json_of_request (P.Submit submit5) with
+        | J.Obj fields -> J.Obj (fields @ [ ("backend", J.String backend) ])
+        | j -> j
+      in
+      (match Serve.Client.rpc c line with
+      | Ok resp ->
+        if bool_field "ok" resp then fail "backend %S was accepted" backend;
+        ignore (str_field "error" resp)
+      | Error e -> fail "submit backend %S: transport: %s" backend e);
+      let st = expect_ok "stats after refusal" (Serve.Client.request c P.Stats) in
+      if J.member "jobs" st = None then
+        fail "reply after refusing %S is not the stats reply" backend)
+    [ "lp"; "smt" ];
+
+  (* 2d. a cold single-line 57-bus job answers within the bound *)
+  let t57 = Unix.gettimeofday () in
+  let r57 =
+    expect_ok "submit 57"
+      (Serve.Client.submit c
+         { submit5 with P.grid = grid57; base = "proportional"; max_candidates = 200 })
+  in
+  if bool_field "cached" r57 then fail "57-bus submission claimed cached";
+  (match Serve.Client.await c ~id:(int_field "id" r57) ~timeout:60. () with
+  | Ok ("done", Some _) -> ()
+  | Ok (st, _) -> fail "57-bus job ended as %s" st
+  | Error e -> fail "await 57: %s" e);
+  let dt57 = Unix.gettimeofday () -. t57 in
+  if dt57 > 10. then fail "cold 57-bus job took %.1f s (bound 10 s)" dt57;
+
+  (* 3. per-job wall-clock timeout: the 300-bus analysis cannot finish in
+     a millisecond; the deadline probe must end it as "timeout" *)
   let slow_submit increase timeout =
     {
-      P.grid = grid57;
-      mode = "topo";
+      P.default_submit with
+      grid = grid300;
       base = "proportional";
       increase;
-      max_candidates = 200;
       single_line = true;
-      backend = "lp";
       timeout;
     }
   in
@@ -298,6 +328,7 @@ let () =
     | Ok None -> fail "offline lookup missed after a served job"
     | Error e -> fail "offline lookup: %s" e));
 
-  print_endline "serve-smoke: OK (cache hit with zero new pivots, metrics \
-                 exposition consistent, timeout, cancel x2, graceful SIGTERM \
-                 drain, offline journal lookup)"
+  Printf.printf "serve-smoke: OK (cache hit with zero new pivots, metrics \
+                 exposition consistent, lp/smt refused, cold 57-bus job in \
+                 %.2f s, timeout, cancel x2, graceful SIGTERM drain, offline \
+                 journal lookup)\n" dt57

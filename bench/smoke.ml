@@ -39,26 +39,39 @@ let () =
     | Ok b -> b
     | Error e -> fail "base state: %s" e
   in
-  (* default config: certified float backend *)
-  (match Topoguard.Impact.analyze ~scenario ~base () with
-  | Topoguard.Impact.Attack_found _ -> ()
-  | Topoguard.Impact.No_attack _ ->
-    fail "expected an attack on the 5-bus case study"
-  | Topoguard.Impact.Base_infeasible e -> fail "base infeasible: %s" e);
-  (* the exact reference backend must agree, and its run arms the
-     exact-simplex counters asserted below *)
-  let exact_config =
-    {
-      Topoguard.Impact.default_config with
-      Topoguard.Impact.backend = Topoguard.Impact.Lp_exact;
-    }
+  (* default config: the certified shift-factor OPF *)
+  let found =
+    match Topoguard.Impact.analyze ~scenario ~base () with
+    | Topoguard.Impact.Attack_found s -> s
+    | Topoguard.Impact.No_attack _ ->
+      fail "expected an attack on the 5-bus case study"
+    | Topoguard.Impact.Base_infeasible e -> fail "base infeasible: %s" e
   in
-  (match Topoguard.Impact.analyze ~config:exact_config ~scenario ~base () with
-  | Topoguard.Impact.Attack_found _ -> ()
-  | Topoguard.Impact.No_attack _ ->
-    fail "exact backend found no attack on the 5-bus case study"
-  | Topoguard.Impact.Base_infeasible e ->
-    fail "exact backend base infeasible: %s" e);
+  (* oracle: the exact angle-formulation LP on the winning vector must
+     also put the poisoned optimum at or above the threshold, within the
+     formulation tolerance of the certified cost; this solve arms the
+     exact-simplex counters asserted below *)
+  let vec = found.Topoguard.Impact.vector in
+  let topo =
+    Grid.Topology.make ~mapped:vec.Attack.Vector.mapped scenario.Grid.Spec.grid
+  in
+  (match Opf.Dc_opf.solve ~loads:vec.Attack.Vector.est_loads topo with
+  | Opf.Dc_opf.Dispatch d ->
+    let angle = d.Opf.Dc_opf.cost in
+    let certified =
+      match found.Topoguard.Impact.poisoned_cost with
+      | Some c -> c
+      | None -> fail "attack found without a poisoned cost"
+    in
+    let a = Numeric.Rat.to_float angle
+    and c = Numeric.Rat.to_float certified in
+    if Numeric.Rat.( < ) angle found.Topoguard.Impact.threshold then
+      fail "angle LP puts the winning vector below the threshold (%g)" a;
+    if Float.abs (a -. c) > 1e-5 *. Float.abs a then
+      fail "angle LP cost %g vs certified %g: beyond the formulation tolerance"
+        a c
+  | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
+    fail "angle LP does not converge on the winning vector");
   let file = Filename.temp_file "bench_smoke" ".json" in
   Obs.write_json_file file (Obs.json_of_snapshot (Obs.snapshot ()));
   let json =
@@ -77,13 +90,13 @@ let () =
       "smt.sat.propagations";
       "smt.simplex.pivots";
       "attack.loop.iterations";
-      (* the default run verifies candidates on the certified float
-         backend, the second run on the exact reference backend *)
+      (* the run verifies candidates on the certified shift-factor OPF,
+         the oracle check solves the exact angle LP *)
       "opf.float_opf.solves";
       "lp.certify.ok";
       "opf.dc_opf.solves";
-      (* LP presolve statistics: the 5-bus OPF solves inside the impact
-         loop must show presolve reductions and exact-simplex pivots *)
+      (* LP presolve statistics: the 5-bus OPF solves must show presolve
+         reductions, and the oracle exact-simplex pivots *)
       "lp.exact.pivots";
       "lp.presolve.rows_eliminated";
       "lp.presolve.bounds_tightened";

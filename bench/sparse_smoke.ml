@@ -5,8 +5,8 @@
      the sparse LU ({!Opf.Factors.ptdf_row}, one transposed solve per
      line) must match a dense reference computed from {!Linalg.Lu}'s
      explicit inverse of the reduced susceptance matrix; on the 118-bus
-     system the certified sparse-path OPF cost must agree with the
-     exact shift-factor simplex up to factor rounding.
+     system the certified sparse-path OPF cost must equal, bit for bit,
+     the exact simplex's optimum of the same stated LP.
    - generator: a seeded 300-bus synthetic grid is byte-identical across
      two generations, lints with zero errors, solves the base OPF on the
      certified backend, and completes one single-line impact
@@ -101,13 +101,19 @@ let () =
         | Error e -> fail "118.grid: parse: %s" e
         | Ok spec ->
           let topo = Grid.Topology.make spec.Grid.Spec.grid in
-          let certified =
-            (solved "118 certified" (Opf.Float_opf.solve topo)).Opf.Dc_opf.cost
-          in
-          let exact =
-            (solved "118 exact" (Opf.Fast_opf.solve topo)).Opf.Dc_opf.cost
-          in
-          (Q.to_float certified, Q.to_float exact))
+          match Opf.Float_opf.state topo with
+          | None -> fail "118: no shift factors"
+          | Some st -> (
+            let certified =
+              (solved "118 certified" (Opf.Float_opf.solve_stated st))
+                .Opf.Dc_opf.cost
+            in
+            match
+              Certify.solve_exact st.Opf.Float_opf.problem
+                st.Opf.Float_opf.objective ~constant:st.Opf.Float_opf.constant
+            with
+            | Certify.Optimal { objective; _ } -> (certified, objective)
+            | _ -> fail "118 exact: no optimum"))
   in
 
   (* 2. sparse-vs-dense PTDF agreement on every bundled grid *)
@@ -131,8 +137,7 @@ let () =
     fail "gen 300 seed 42: %d lint error(s): %s" errors
       (Format.asprintf "%a" Analysis.Diagnostic.pp_list diags);
 
-  (* 4. base OPF + one single-line impact verification on the certified
-     backend *)
+  (* 4. base OPF + one single-line impact verification *)
   let grid = spec.Grid.Spec.grid in
   let base =
     match Attack.Base_state.proportional grid with
@@ -142,7 +147,6 @@ let () =
   let config =
     {
       Topoguard.Impact.default_config with
-      backend = Topoguard.Impact.Fast_factors;
       use_closed_form = true;
       max_topology_changes = Some 1;
       max_candidates = 1;
@@ -155,8 +159,9 @@ let () =
     if candidates < 1 then fail "gen 300: no candidate verified");
 
   let c, e = Domain.join cost_118 in
-  if Float.abs (c -. e) > 1e-4 *. Float.abs e then
-    fail "118-bus cost: certified sparse %.6f vs exact %.6f" c e;
+  if not (Q.equal c e) then
+    fail "118-bus cost: certified %s vs exact %s" (Q.to_string c)
+      (Q.to_string e);
 
   (* 5. counters: the sparse machinery really ran, every certificate
      validated *)

@@ -249,12 +249,11 @@ let lint_cmd =
 (* ---- opf ---- *)
 
 let opf_cmd =
-  let run file fast stats =
+  let run file stats =
     let spec = load_spec file in
     let topo = Grid.Topology.make spec.Grid.Spec.grid in
-    let solve = if fast then Opf.Fast_opf.solve else Opf.Dc_opf.solve in
     with_stats stats @@ fun () ->
-    match solve topo with
+    match Opf.Float_opf.solve topo with
     | Opf.Dc_opf.Dispatch d ->
       Format.printf "optimal cost: $%s@." (qs ~d:2 d.Opf.Dc_opf.cost);
       Array.iteri
@@ -273,11 +272,11 @@ let opf_cmd =
       Format.printf "OPF unbounded@.";
       exit 1
   in
-  let fast =
-    Arg.(value & flag & info [ "fast" ] ~doc:"Use the shift-factor OPF.")
-  in
-  Cmd.v (Cmd.info "opf" ~doc:"Solve the DC optimal power flow.")
-    Term.(const run $ file_arg $ fast $ stats_term)
+  Cmd.v
+    (Cmd.info "opf"
+       ~doc:"Solve the DC optimal power flow: the shift-factor formulation \
+             on the certified float LP, exact for its stated problem.")
+    Term.(const run $ file_arg $ stats_term)
 
 (* ---- se ---- *)
 
@@ -585,7 +584,7 @@ let contingency_cmd =
     with_stats stats @@ fun () ->
     let result =
       if secure then Opf.Contingency.sc_opf topo
-      else Opf.Opf_auto.solve topo
+      else Opf.Float_opf.solve topo
     in
     match result with
     | Opf.Dc_opf.Dispatch d ->
@@ -783,7 +782,7 @@ let serve_cmd =
 
 let submit_cmd =
   let run files connect socket batch mode base increase max_candidates
-      single_line backend timeout journal wait_timeout trace =
+      single_line timeout journal wait_timeout trace =
     with_trace trace @@ fun () ->
     (* one client-minted trace context rides the request envelope, so the
        server (or coordinator and shard) records its spans under an id
@@ -815,13 +814,13 @@ let submit_cmd =
     in
     let sub_of grid =
       {
-        Serve.Protocol.grid;
+        Serve.Protocol.default_submit with
+        grid;
         mode;
         base;
         increase;
         max_candidates;
         single_line;
-        backend;
         timeout;
       }
     in
@@ -1004,12 +1003,6 @@ let submit_cmd =
          & info [ "single-line" ]
              ~doc:"Restrict to single-line attacks (closed-form path).")
   in
-  let backend =
-    Arg.(value & opt (enum_str [ "lp"; "smt"; "factors" ]) "lp"
-         & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"OPF verification backend: $(b,lp) (exact), $(b,smt) \
-                   (bounded queries), or $(b,factors) (shift factors).")
-  in
   let timeout =
     Arg.(value & opt float 0.
          & info [ "timeout" ] ~docv:"SECONDS"
@@ -1055,7 +1048,7 @@ let submit_cmd =
              result) is available, 2 on input errors.")
     Term.(
       const run $ files $ connect $ socket_arg $ batch $ mode $ base
-      $ increase $ max_candidates $ single_line $ backend $ timeout
+      $ increase $ max_candidates $ single_line $ timeout
       $ journal $ wait_timeout $ trace_term)
 
 (* ---- fleet ---- *)
@@ -1203,14 +1196,12 @@ let loadgen_cmd =
     end;
     let sub_of ?increase grid =
       {
-        Serve.Protocol.grid;
-        mode = "topo";
+        Serve.Protocol.default_submit with
+        grid;
         base = "proportional";
         increase;
         max_candidates;
         single_line = not full;
-        backend = "lp";
-        timeout = 0.;
       }
     in
     let warm = List.map (fun g -> sub_of g) pool in

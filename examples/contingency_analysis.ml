@@ -40,11 +40,11 @@ let () =
   let topo = T.make grid in
 
   (* 1. the cost-optimal dispatch usually fails N-1 screening *)
-  ignore (report "economic dispatch (plain OPF)" topo (Opf.Opf_auto.solve_factors topo));
+  ignore (report "economic dispatch (plain OPF)" topo (Opf.Float_opf.solve topo));
 
   (* 2. the security-constrained OPF pays a premium for N-1 security *)
   (match
-     ( Opf.Opf_auto.solve_factors topo,
+     ( Opf.Float_opf.solve topo,
        report "security-constrained OPF (emergency rating 2.0x)"
          topo (Opf.Contingency.sc_opf ~emergency_factor:2.0 topo) )
    with
@@ -63,7 +63,7 @@ let () =
   let mapped = N.true_topology five in
   mapped.(5) <- false;
   let poisoned = T.make ~mapped five in
-  match Opf.Dc_opf.base_case five with
+  match Opf.Float_opf.solve true_topo with
   | Opf.Dc_opf.Dispatch d ->
     let flows = Array.map Q.to_float d.Opf.Dc_opf.flows in
     let seen = List.length (Opf.Contingency.screen poisoned ~base_flows:flows) in

@@ -131,7 +131,7 @@ let () =
           else if attacked then "(operating on poisoned model)"
           else "" )
       else
-        match Opf.Dc_opf.solve ~loads:est_loads reported_topo with
+        match Opf.Float_opf.solve ~loads:est_loads reported_topo with
         | Opf.Dc_opf.Dispatch d ->
           (* the operator applies the new set-points *)
           let new_dispatch = Array.make grid.N.n_buses Q.zero in
@@ -149,7 +149,7 @@ let () =
     in
     (* what the optimum would be on the true model (for comparison) *)
     let true_opt =
-      match Opf.Dc_opf.solve ~loads:load true_topo with
+      match Opf.Float_opf.solve ~loads:load true_topo with
       | Opf.Dc_opf.Dispatch d -> Q.to_decimal_string ~digits:2 d.Opf.Dc_opf.cost
       | _ -> "-"
     in

@@ -53,7 +53,7 @@ let () =
 
   (* 4. optimal power flow: the economic dispatch the operator computes *)
   Format.printf "--- DC optimal power flow ---@.";
-  match Opf.Dc_opf.base_case grid with
+  match Opf.Float_opf.solve topo with
   | Opf.Dc_opf.Dispatch d ->
     Format.printf "optimal cost: $%s@." (qs ~d:2 d.Opf.Dc_opf.cost);
     Array.iteri

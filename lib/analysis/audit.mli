@@ -6,7 +6,7 @@
     + {b graph structure} ({!Structure}): one DFS over the mapped
       topology finds bridges, articulation points, radial chains and
       2-edge-connected components.  A bridge exclusion is statically an
-      islanding attack: on the shift-factor backend the poisoned OPF can
+      islanding attack: the poisoned shift-factor OPF can
       never converge, so {!classify} prunes it without a solve.
     + {b interval impact bounds}: exact-rational dispatch-cost range
       [[cost_floor, cost_ceiling]] of the scenario's demand over the
@@ -82,9 +82,10 @@ val classify :
   static_verdict list
 (** Static verdict per single-line candidate, in order.  [base_dispatch]
     is the attack-free OPF generation (per [grid.gens] index).
-    [islanding_sound] must be true only when the verifying backend
-    treats islanded topologies as non-convergent (the shift-factor
-    backends; the angle formulation can stay feasible per-island).
+    [islanding_sound] must be true only when the verifying OPF treats
+    islanded topologies as non-convergent, as the production
+    shift-factor OPF does (the exact angle formulation can stay
+    feasible per-island).
     [interval_active] must be true only when the success threshold is
     strictly above the base cost.  Inclusions are never pruned.  The
     interval check recomputes base flows from PTDFs (never trusting a

@@ -48,9 +48,7 @@ let of_dispatch ?exact grid ~gen =
   end
 
 let of_opf grid =
-  (* the exact angle-formulation LP is only tractable on small systems;
-     larger ones use the paper's shift-factor OPF (Section IV-A, idea 2) *)
-  match Opf.Opf_auto.solve (Grid.Topology.make grid) with
+  match Opf.Float_opf.solve (Grid.Topology.make grid) with
   | Opf.Dc_opf.Infeasible -> Error "base OPF infeasible"
   | Opf.Dc_opf.Unbounded -> Error "base OPF unbounded"
   | Opf.Dc_opf.Dispatch d ->

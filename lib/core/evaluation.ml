@@ -61,8 +61,8 @@ let timed ~label ~size f =
     counters = delta.Obs.counters;
   }
 
-let impact_run ~mode ?(backend = Impact.Lp_exact)
-    ?(increase_pct = Q.of_ints 3 2) ?(max_candidates = 25) ~seed spec =
+let impact_run ~mode ?(increase_pct = Q.of_ints 3 2) ?(max_candidates = 25)
+    ~seed spec =
   let spec = randomize_scenario ~seed spec in
   let spec = { spec with Grid.Spec.min_increase_pct = increase_pct } in
   let size = spec.Grid.Spec.grid.N.n_buses in
@@ -88,12 +88,10 @@ let impact_run ~mode ?(backend = Impact.Lp_exact)
         (* paper Section IV-A: single-line topology attacks on the larger
            systems keep the analysis tractable *)
         let mtc = if size >= 30 then Some 1 else None in
-        let backend = if size >= 30 then Impact.Fast_factors else backend in
         let config =
           {
             Impact.default_config with
             Impact.mode;
-            backend;
             max_candidates;
             max_topology_changes = mtc;
           }
@@ -156,14 +154,10 @@ let unsat_impact_run ~mode ~seed spec =
   | Ok base ->
     timed ~label:(Printf.sprintf "unsat-impact/seed%d" seed) ~size (fun () ->
         let mtc = if size >= 30 then Some 1 else None in
-        let backend =
-          if size >= 30 then Impact.Fast_factors else Impact.Lp_exact
-        in
         let config =
           {
             Impact.default_config with
             Impact.mode;
-            backend;
             max_candidates = 100;
             max_topology_changes = mtc;
           }
@@ -207,7 +201,7 @@ let opf_model_run ~tightness spec =
   let grid = spec.Grid.Spec.grid in
   let size = grid.N.n_buses in
   let topo = Grid.Topology.make grid in
-  match Opf.Opf_auto.solve (Grid.Topology.make grid) with
+  match Opf.Float_opf.solve topo with
   | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
     {
       label = "opf-model";
@@ -234,11 +228,7 @@ let unsat_opf_model_run spec =
   let grid = spec.Grid.Spec.grid in
   let size = grid.N.n_buses in
   let topo = Grid.Topology.make grid in
-  let base_solve g =
-    if g.N.n_buses <= 20 then Opf.Dc_opf.base_case g
-    else Opf.Fast_opf.solve (Grid.Topology.make g)
-  in
-  match base_solve grid with
+  match Opf.Float_opf.solve topo with
   | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
     {
       label = "unsat-opf-model";
@@ -273,7 +263,7 @@ let memory_table_row (spec : Grid.Spec.t) =
     let attack_mb = (Gc.allocated_bytes () -. a0) /. 1.0e6 in
     (* OPF model *)
     let grid = spec.Grid.Spec.grid in
-    match Opf.Opf_auto.solve (Grid.Topology.make grid) with
+    match Opf.Float_opf.solve (Grid.Topology.make grid) with
     | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> Error "base infeasible"
     | Opf.Dc_opf.Dispatch d ->
       let b0 = Gc.allocated_bytes () in

@@ -29,7 +29,6 @@ val timed : label:string -> size:int -> (unit -> string) -> measurement
 
 val impact_run :
   mode:Attack.Encoder.mode ->
-  ?backend:Impact.opf_backend ->
   ?increase_pct:Numeric.Rat.t ->
   ?max_candidates:int ->
   seed:int ->

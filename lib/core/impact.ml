@@ -4,7 +4,7 @@ module F = Smt.Form
 module Solver = Smt.Solver
 module N = Grid.Network
 
-type opf_backend = Lp_exact | Smt_bounded | Fast_factors
+type opf_backend = Fast_factors
 
 exception Interrupted
 
@@ -12,7 +12,6 @@ let obs_iterations = Obs.Counter.make "attack.loop.iterations"
 let obs_candidates = Obs.Counter.make "attack.loop.candidates"
 let obs_blocked = Obs.Counter.make "attack.loop.blocked"
 let obs_loop_timer = Obs.Timer.make "attack.loop.analyze"
-let obs_verify_timer = Obs.Timer.make "attack.loop.verify_impact"
 let obs_verify_hist = Obs.Histogram.make "attack.verify.seconds"
 let obs_sweep_reused = Obs.Counter.make "attack.sweep.reused_verifications"
 let obs_sweep_targets = Obs.Counter.make "attack.sweep.targets"
@@ -55,8 +54,6 @@ let default_config =
     mode = Attack.Encoder.Topology_only;
     precision = 2;
     max_candidates = 200;
-    (* certified float OPF (Float_opf over Lp's Certify): the fastest
-       backend is now exact at every system size, so it is the default *)
     backend = Fast_factors;
     max_topology_changes = None;
     use_closed_form = false;
@@ -100,19 +97,8 @@ let threshold_of ~base_cost pct =
 (* ---- verification store (partial reuse across scenarios) ----
 
    The poisoned optimum depends only on the grid, the mapped topology and
-   the shifted loads — not on the threshold — so for the exact backends a
-   verification can be answered from the store and compared against any
-   threshold.  The SMT backend's bounded query is threshold-dependent and
-   bypasses the store. *)
-
-(* Lp_exact and Fast_factors share one tag: both report exact optima
-   (Fast_factors through the certified float path), so their verify:
-   entries are interchangeable.  The residual difference is formulation —
-   angle variables vs float-rounded PTDFs — worth ~1e-6 relative on the
-   IEEE systems; see docs/certification.md. *)
-let backend_tag = function
-  | Lp_exact | Fast_factors -> "exact"
-  | Smt_bounded -> "smt"
+   the shifted loads — not on the threshold — so a verification can be
+   answered from the store and compared against any threshold. *)
 
 (* "cost <num[/den]>" | "noconv" *)
 let encode_verdict = function
@@ -136,43 +122,30 @@ let decode_verdict s =
       | _ -> None)
     | _ -> None
 
+(* the poisoned optimum, as a store verdict *)
+let poisoned_verdict grid (vec : Attack.Vector.t) =
+  let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
+  match Opf.Float_opf.solve ~loads:vec.Attack.Vector.est_loads topo with
+  | Opf.Dc_opf.Dispatch d -> `Cost d.Opf.Dc_opf.cost
+  | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> `NoConv
+
 (* the key is a canonical serialisation of the poisoned instance itself
    (each line carries its mapped bit through the content sort), so two
    .grid files that are row permutations of each other share entries for
    the same physical topology — and never for different ones *)
-let verify_store_key config grid (vec : Attack.Vector.t) =
+let cached_verdict config grid (vec : Attack.Vector.t) =
   match config.store with
-  | Some store when config.backend <> Smt_bounded ->
-    Some
-      ( store,
-        "verify:"
-        ^ Store.Canonical.verify_key
-            ~backend:(backend_tag config.backend)
-            ~mapped:vec.Attack.Vector.mapped ~loads:vec.Attack.Vector.est_loads
-            grid )
-  | _ -> None
-
-(* the poisoned optimum through an exact backend, as a store verdict *)
-let exact_verdict backend grid (vec : Attack.Vector.t) =
-  let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
-  let loads = vec.Attack.Vector.est_loads in
-  let solve =
-    match backend with
-    | Fast_factors -> Opf.Opf_auto.solve_factors
-    | Lp_exact | Smt_bounded -> Opf.Dc_opf.solve
-  in
-  match solve ~loads topo with
-  | Opf.Dc_opf.Dispatch d -> `Cost d.Opf.Dc_opf.cost
-  | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> `NoConv
-
-let exact_verdict_cached config grid vec =
-  match verify_store_key config grid vec with
-  | None -> exact_verdict config.backend grid vec
-  | Some (store, key) -> (
+  | None -> poisoned_verdict grid vec
+  | Some store -> (
+    let key =
+      "verify:"
+      ^ Store.Canonical.verify_key ~mapped:vec.Attack.Vector.mapped
+          ~loads:vec.Attack.Vector.est_loads grid
+    in
     match Option.bind (Store.Cache.find store key) decode_verdict with
     | Some verdict -> verdict
     | None ->
-      let verdict = exact_verdict config.backend grid vec in
+      let verdict = poisoned_verdict grid vec in
       Store.Cache.add store ~key ~value:(encode_verdict verdict);
       verdict)
 
@@ -183,33 +156,13 @@ let verify_impact config grid (vec : Attack.Vector.t) ~threshold =
   Obs.Trace.with_span "impact.verify"
     ~args:[ ("threshold", Q.to_string threshold) ]
   @@ fun () ->
-  Obs.Timer.with_ obs_verify_timer @@ fun () ->
   Obs.Histogram.time obs_verify_hist @@ fun () ->
-  match config.backend with
-  | Lp_exact | Fast_factors -> (
-    match exact_verdict_cached config grid vec with
-    | `Cost c ->
-      if Q.( >= ) c threshold then `Success (Some c)
-      else `Cheaper_dispatch_exists
-    | `NoConv -> `No_convergence)
-  | Smt_bounded -> (
-    (* Eq. 37: unsat below the threshold; Eq. 38: sat with a loose budget *)
-    let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
-    let loads = vec.Attack.Vector.est_loads in
-    match Opf.Smt_opf.feasible ~loads topo ~budget:threshold with
-    | `Sat -> `Cheaper_dispatch_exists
-    | `Unsat -> (
-      let loose = Q.mul threshold (Q.of_int 1000) in
-      match Opf.Smt_opf.feasible ~loads topo ~budget:loose with
-      | `Sat -> `Success None
-      | `Unsat -> `No_convergence))
+  match cached_verdict config grid vec with
+  | `Cost c ->
+    if Q.( >= ) c threshold then `Success c else `Cheaper_dispatch_exists
+  | `NoConv -> `No_convergence
 
-(* the attack-free OPF through the configured backend: the exact angle
-   formulation for the LP/SMT backends, shift factors for Fast_factors *)
-let base_opf backend grid =
-  match backend with
-  | Fast_factors -> Opf.Opf_auto.solve_factors (Grid.Topology.make grid)
-  | Lp_exact | Smt_bounded -> Opf.Dc_opf.base_case grid
+let base_opf grid = Opf.Float_opf.solve (Grid.Topology.make grid)
 
 (* closed-form enumeration of single-line attacks (the paper's LODF-era
    fast path): no SMT involved.  The candidate verifications are
@@ -232,8 +185,7 @@ let truncate_candidates config candidates =
    Static verdicts per candidate, before any OPF runs:
 
    - [`Islanding]: the excluded line is a bridge, so the poisoned
-     shift-factor OPF cannot converge.  Only claimed for Fast_factors —
-     the angle formulation can remain feasible per-island.
+     shift-factor OPF cannot converge.
    - [`Interval]: the attack-free dispatch still fits every line
      capacity on the poisoned instance (PTDF/LODF check with a margin
      covering the certified backend's 1e-6 PTDF rounding), so the
@@ -266,7 +218,7 @@ let audit_verdicts config ~grid ~base_dispatch ~threshold ~base_cost
     end
     else
       Audit.classify ~grid ~base_dispatch:base_dispatch.Opf.Dc_opf.pg
-        ~islanding_sound:(config.backend = Fast_factors)
+        ~islanding_sound:true
         ~interval_active:(Q.( > ) threshold base_cost)
         ~candidates
       |> List.map (function
@@ -283,12 +235,11 @@ let audit_verdicts config ~grid ~base_dispatch ~threshold ~base_cost
   end
 
 (* cross-check mode: solve a pruned candidate after all and verify the
-   static claim.  Only meaningful for the exact backends (the SMT
-   verdict is threshold-bound); a disagreement — the solver finding a
-   success the audit pruned — bumps audit.prune.unsound. *)
+   static claim; a disagreement — the solver finding a success the audit
+   pruned — bumps audit.prune.unsound. *)
 let audit_cross_check config ~grid ~threshold vec (claim : static_verdict) =
-  if config.audit_cross_check && config.backend <> Smt_bounded then begin
-    let verdict = exact_verdict_cached config grid vec in
+  if config.audit_cross_check then begin
+    let verdict = cached_verdict config grid vec in
     let agree =
       match (claim, verdict) with
       | `Islanding, `NoConv -> true
@@ -348,7 +299,7 @@ let analyze_closed_form config ~grid ~base_dispatch ~candidates ~base_cost
         vector = vec;
         base_cost;
         threshold;
-        poisoned_cost;
+        poisoned_cost = Some poisoned_cost;
         candidates = Atomic.get examined;
       }
   | None -> No_attack { candidates = Atomic.get examined }
@@ -385,7 +336,7 @@ let smt_loop config ~scenario ~grid ~solver ~vars ~base_cost ~threshold =
               vector = vec;
               base_cost;
               threshold;
-              poisoned_cost;
+              poisoned_cost = Some poisoned_cost;
               candidates = candidates + 1;
             }
         | `Cheaper_dispatch_exists | `No_convergence ->
@@ -401,7 +352,7 @@ let analyze_inner ~config ~(scenario : Grid.Spec.t)
     ~(base : Attack.Base_state.t) =
   check_interrupt config;
   let grid = scenario.Grid.Spec.grid in
-  match base_opf config.backend grid with
+  match base_opf grid with
   | Opf.Dc_opf.Infeasible -> Base_infeasible "attack-free OPF infeasible"
   | Opf.Dc_opf.Unbounded -> Base_infeasible "attack-free OPF unbounded"
   | Opf.Dc_opf.Dispatch base_dispatch ->
@@ -435,8 +386,7 @@ let analyze ?(config = default_config) ~(scenario : Grid.Spec.t)
 
    - the attack-free OPF and (closed form) the candidate enumeration run
      once;
-   - with an exact backend, each candidate's poisoned optimum is computed
-     at most once and compared against every threshold (memoised below,
+   - each candidate's poisoned optimum is computed at most once and compared against every threshold (memoised below,
      and shared further through config.store when present);
    - on the SMT path one solver and one encoding serve all targets,
      processed in ascending threshold order so accumulated blocking
@@ -450,127 +400,113 @@ let sweep_closed_form config ~scenario ~base ~base_dispatch ~base_cost
     truncate_candidates config (Attack.Single_line.all_feasible ~scenario ~base)
   in
   let candidates = Array.of_list candidate_list in
-  match config.backend with
-  | Smt_bounded ->
-    (* the bounded-feasibility verdict depends on the threshold: only the
-       enumeration and the base OPF are shared *)
-    List.map
-      (fun pct ->
-        let threshold = threshold_of ~base_cost pct in
-        ( pct,
-          analyze_closed_form config ~grid ~base_dispatch
-            ~candidates:candidate_list ~base_cost ~threshold ))
-      increases
-  | Lp_exact | Fast_factors ->
-    (* audit pre-pass, threshold-independent pieces computed once: the
-       islanding/interval verdicts hold for every target (the interval
-       claim — poisoned optimum <= base_cost — is applied only at
-       thresholds strictly above the base cost, i.e. every positive
-       impact target), the cost ceiling is compared per threshold.
-       Counters are bumped lazily, on the first target that actually
-       skips a candidate, so [audit.pruned] counts solves avoided — not
-       classifications that no target ever used. *)
-    let statics =
-      if not (config.audit && Array.length candidates > 0) then
-        Array.make (Array.length candidates) None
-      else
-        Audit.classify ~grid ~base_dispatch:base_dispatch.Opf.Dc_opf.pg
-          ~islanding_sound:(config.backend = Fast_factors)
-          ~interval_active:true ~candidates:candidate_list
-        |> List.map (function
-             | Audit.Solve -> None
-             | Audit.Prune_islanding -> Some `Islanding
-             | Audit.Prune_interval -> Some `Interval)
-        |> Array.of_list
-    in
-    let ceiling =
-      if config.audit then Audit.cost_ceiling grid else None
-    in
-    let prune_counted = Array.make (Array.length candidates) false in
-    let count_prune i (claim : static_verdict) =
-      if not prune_counted.(i) then begin
-        prune_counted.(i) <- true;
-        Obs.Counter.incr obs_audit_pruned;
-        Obs.Counter.incr
-          (match claim with
-          | `Islanding -> obs_audit_pruned_islanding
-          | `Interval -> obs_audit_pruned_interval
-          | `Ceiling -> obs_audit_pruned_ceiling)
-      end
-    in
-    let cross_checked = Array.make (Array.length candidates) false in
-    let memo = Array.make (Array.length candidates) None in
-    (* verdict plus whether this call actually solved (fresh) or reused *)
-    let verdict i =
-      match memo.(i) with
-      | Some v ->
-        Obs.Counter.incr obs_sweep_reused;
-        (v, false)
-      | None ->
-        check_interrupt config;
-        Obs.Counter.incr obs_iterations;
-        Obs.Counter.incr obs_candidates;
-        let _, _, vec = candidates.(i) in
-        let v =
-          Obs.Trace.with_span "impact.candidate"
-            ~args:[ ("index", string_of_int i) ]
-          @@ fun () ->
-          Obs.Timer.with_ obs_verify_timer @@ fun () ->
-          Obs.Histogram.time obs_verify_hist @@ fun () ->
-          exact_verdict_cached config grid vec
-        in
-        memo.(i) <- Some v;
-        (v, true)
-    in
-    List.map
-      (fun pct ->
-        let threshold = threshold_of ~base_cost pct in
-        let interval_applies = Q.( > ) threshold base_cost in
-        let above_ceiling =
-          match ceiling with Some u -> Q.( > ) threshold u | None -> false
-        in
-        let pruned i =
-          match statics.(i) with
-          | Some `Islanding -> true
-          | Some `Interval -> interval_applies
-          | None -> above_ceiling
-        in
-        let rec scan i =
-          if i >= Array.length candidates then
-            No_attack { candidates = Array.length candidates }
-          else if pruned i then begin
-            let claim =
-              match statics.(i) with
-              | Some `Islanding -> `Islanding
-              | Some `Interval -> `Interval
-              | None -> `Ceiling
-            in
-            count_prune i claim;
-            (if not cross_checked.(i) then begin
-               cross_checked.(i) <- true;
-               let _, _, vec = candidates.(i) in
-               audit_cross_check config ~grid ~threshold vec claim
-             end);
+  (* audit pre-pass, threshold-independent pieces computed once: the
+     islanding/interval verdicts hold for every target (the interval
+     claim — poisoned optimum <= base_cost — is applied only at
+     thresholds strictly above the base cost, i.e. every positive
+     impact target), the cost ceiling is compared per threshold.
+     Counters are bumped lazily, on the first target that actually
+     skips a candidate, so [audit.pruned] counts solves avoided — not
+     classifications that no target ever used. *)
+  let statics =
+    if not (config.audit && Array.length candidates > 0) then
+      Array.make (Array.length candidates) None
+    else
+      Audit.classify ~grid ~base_dispatch:base_dispatch.Opf.Dc_opf.pg
+        ~islanding_sound:true ~interval_active:true ~candidates:candidate_list
+      |> List.map (function
+           | Audit.Solve -> None
+           | Audit.Prune_islanding -> Some `Islanding
+           | Audit.Prune_interval -> Some `Interval)
+      |> Array.of_list
+  in
+  let ceiling =
+    if config.audit then Audit.cost_ceiling grid else None
+  in
+  let prune_counted = Array.make (Array.length candidates) false in
+  let count_prune i (claim : static_verdict) =
+    if not prune_counted.(i) then begin
+      prune_counted.(i) <- true;
+      Obs.Counter.incr obs_audit_pruned;
+      Obs.Counter.incr
+        (match claim with
+        | `Islanding -> obs_audit_pruned_islanding
+        | `Interval -> obs_audit_pruned_interval
+        | `Ceiling -> obs_audit_pruned_ceiling)
+    end
+  in
+  let cross_checked = Array.make (Array.length candidates) false in
+  let memo = Array.make (Array.length candidates) None in
+  (* verdict plus whether this call actually solved (fresh) or reused *)
+  let verdict i =
+    match memo.(i) with
+    | Some v ->
+      Obs.Counter.incr obs_sweep_reused;
+      (v, false)
+    | None ->
+      check_interrupt config;
+      Obs.Counter.incr obs_iterations;
+      Obs.Counter.incr obs_candidates;
+      let _, _, vec = candidates.(i) in
+      let v =
+        Obs.Trace.with_span "impact.candidate"
+          ~args:[ ("index", string_of_int i) ]
+        @@ fun () ->
+        Obs.Histogram.time obs_verify_hist @@ fun () ->
+        cached_verdict config grid vec
+      in
+      memo.(i) <- Some v;
+      (v, true)
+  in
+  List.map
+    (fun pct ->
+      let threshold = threshold_of ~base_cost pct in
+      let interval_applies = Q.( > ) threshold base_cost in
+      let above_ceiling =
+        match ceiling with Some u -> Q.( > ) threshold u | None -> false
+      in
+      let pruned i =
+        match statics.(i) with
+        | Some `Islanding -> true
+        | Some `Interval -> interval_applies
+        | None -> above_ceiling
+      in
+      let rec scan i =
+        if i >= Array.length candidates then
+          No_attack { candidates = Array.length candidates }
+        else if pruned i then begin
+          let claim =
+            match statics.(i) with
+            | Some `Islanding -> `Islanding
+            | Some `Interval -> `Interval
+            | None -> `Ceiling
+          in
+          count_prune i claim;
+          (if not cross_checked.(i) then begin
+             cross_checked.(i) <- true;
+             let _, _, vec = candidates.(i) in
+             audit_cross_check config ~grid ~threshold vec claim
+           end);
+          scan (i + 1)
+        end
+        else
+          match verdict i with
+          | `Cost c, _ when Q.( >= ) c threshold ->
+            let _, _, vec = candidates.(i) in
+            Attack_found
+              {
+                vector = vec;
+                base_cost;
+                threshold;
+                poisoned_cost = Some c;
+                candidates = i + 1;
+              }
+          | (`Cost _ | `NoConv), fresh ->
+            if fresh then Obs.Counter.incr obs_blocked;
             scan (i + 1)
-          end
-          else
-            match verdict i with
-            | `Cost c, _ when Q.( >= ) c threshold ->
-              let _, _, vec = candidates.(i) in
-              Attack_found
-                {
-                  vector = vec;
-                  base_cost;
-                  threshold;
-                  poisoned_cost = Some c;
-                  candidates = i + 1;
-                }
-            | (`Cost _ | `NoConv), fresh ->
-              if fresh then Obs.Counter.incr obs_blocked;
-              scan (i + 1)
-        in
-        (pct, scan 0))
-      increases
+      in
+      (pct, scan 0))
+    increases
 
 let sweep_smt config ~scenario ~base ~base_cost ~increases =
   let grid = scenario.Grid.Spec.grid in
@@ -608,7 +544,7 @@ let analyze_sweep ?(config = default_config) ~(scenario : Grid.Spec.t)
   Obs.Counter.add obs_sweep_targets (List.length increases);
   check_interrupt config;
   let grid = scenario.Grid.Spec.grid in
-  match base_opf config.backend grid with
+  match base_opf grid with
   | Opf.Dc_opf.Infeasible ->
     List.map (fun pct -> (pct, Base_infeasible "attack-free OPF infeasible")) increases
   | Opf.Dc_opf.Unbounded ->
@@ -624,7 +560,7 @@ let max_achievable_increase ?(config = default_config)
     ~(scenario : Grid.Spec.t) ~(base : Attack.Base_state.t) () =
   with_interrupt_probe config @@ fun () ->
   let grid = scenario.Grid.Spec.grid in
-  match base_opf config.backend grid with
+  match base_opf grid with
   | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> None
   | Opf.Dc_opf.Dispatch base_dispatch ->
     let base_cost = base_dispatch.Opf.Dc_opf.cost in
@@ -645,19 +581,12 @@ let max_achievable_increase ?(config = default_config)
       | `Sat -> (
         Obs.Counter.incr obs_candidates;
         let vec = Attack.Vector.of_model solver vars scenario in
-        let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
-        let solve =
-          match config.backend with
-          | Fast_factors -> Opf.Opf_auto.solve_factors
-          | Lp_exact | Smt_bounded -> Opf.Dc_opf.solve
-        in
-        (match solve ~loads:vec.Attack.Vector.est_loads topo with
-        | Opf.Dc_opf.Dispatch d ->
-          let cost = d.Opf.Dc_opf.cost in
-          (match !best with
+        (match poisoned_verdict grid vec with
+        | `Cost cost -> (
+          match !best with
           | Some b when Q.( >= ) b cost -> ()
           | _ -> best := Some cost)
-        | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> ());
+        | `NoConv -> ());
         (* every candidate is blocked here — the search is exhaustive *)
         Obs.Counter.incr obs_blocked;
         Solver.assert_form solver

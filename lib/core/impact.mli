@@ -7,12 +7,18 @@
     cheaper than the threshold exists (Eq. 37) while the OPF still
     converges for unconstrained budgets (Eq. 38).  Rejected candidates are
     blocked at a 2-decimal-digit discretisation (Section IV-A idea 1) and
-    the search continues. *)
+    the search continues.
+
+    Every OPF here — the attack-free optimum and each poisoned one — is
+    {!Opf.Float_opf.solve}: the shift-factor formulation (Section IV-A,
+    idea 2) on the certified float LP, exact for its stated problem at
+    every system size.  The exact angle LP ({!Opf.Dc_opf}) and the SMT
+    bounded-cost model ({!Opf.Smt_opf}) serve as test oracles. *)
 
 type opf_backend =
-  | Lp_exact  (** exact LP optimum of the poisoned system (reference) *)
-  | Smt_bounded  (** the paper's bounded-cost SMT feasibility query *)
-  | Fast_factors  (** shift-factor OPF (Section IV-A idea 2) *)
+  | Fast_factors
+      (** the certified shift-factor OPF — the only one; the type stays
+          so existing configs keep compiling *)
 
 exception Interrupted
 (** Raised from inside {!analyze} / {!analyze_sweep} /
@@ -55,22 +61,21 @@ type config = {
           compare against a deadline clock). *)
   store : Store.Cache.t option;
       (** content-addressed store for per-candidate OPF verifications.
-          With an exact backend the poisoned optimum is
-          threshold-independent, so entries are keyed by a canonical
-          serialisation of the poisoned instance (backend, each line's
-          electrical parameters with its mapped bit, generators, per-bus
-          shifted loads — see {!Store.Canonical.verify_key}) and are
-          shared between scenarios that differ only in the impact target
-          [I] — and, through the store's journal, across process
-          restarts.  The key names the physical topology, not a
-          row-indexed bitstring, so row-permuted copies of a [.grid]
-          file share entries soundly.  The [Smt_bounded] backend
-          bypasses the store (its verdict depends on the threshold). *)
+          The poisoned optimum is threshold-independent, so entries are
+          keyed by a canonical serialisation of the poisoned instance
+          (each line's electrical parameters with its mapped bit,
+          generators, per-bus shifted loads — see
+          {!Store.Canonical.verify_key}) and are shared between
+          scenarios that differ only in the impact target [I] — and,
+          through the store's journal, across process restarts.  The key
+          names the physical topology, not a row-indexed bitstring, so
+          row-permuted copies of a [.grid] file share entries
+          soundly. *)
   audit : bool;
       (** solver-free static pre-pass on the closed-form path (default
           true): before any verification, {!Audit.classify} prunes
           candidates that provably cannot succeed — bridge exclusions
-          (statically islanding, [Fast_factors] only) and candidates
+          (statically islanding) and candidates
           whose poisoned optimum is provably at or below the base cost
           while the threshold is strictly above it; a threshold above
           the exact dispatch-cost ceiling prunes everything.  The
@@ -84,9 +89,8 @@ type config = {
           SMT enumeration path is model-driven and ignores this
           field. *)
   audit_cross_check : bool;
-      (** solve every statically pruned candidate anyway (exact
-          backends only) and assert the prune verdict against the
-          solver's: a pruned candidate that verifies as a success bumps
+      (** solve every statically pruned candidate anyway and assert the
+          prune verdict against the solver's: a pruned candidate that verifies as a success bumps
           [audit.prune.unsound].  Costs what the un-audited run costs;
           meant for CI parity gates, default false. *)
 }
@@ -98,7 +102,7 @@ type success = {
   base_cost : Numeric.Rat.t;  (** attack-free OPF optimum [T*] *)
   threshold : Numeric.Rat.t;  (** [T_OPF] *)
   poisoned_cost : Numeric.Rat.t option;
-      (** exact poisoned optimum (present with the LP backends) *)
+      (** exact poisoned optimum; always [Some] *)
   candidates : int;
       (** attack vectors examined; with [jobs >= 2] this counts every
           verification actually started, which can exceed the sequential
@@ -131,10 +135,10 @@ val analyze_sweep :
 
     - the attack-free OPF (and thus [T*]) is solved once;
     - on the closed-form path the single-line candidates are enumerated
-      once, and with an exact backend each candidate's poisoned optimum
-      is solved at most once and compared against every threshold
-      (reuse is visible as [attack.sweep.reused_verifications] and as
-      flat [attack.loop.iterations] in [--stats]);
+      once, and each candidate's poisoned optimum is solved at most once
+      and compared against every threshold (reuse is visible as
+      [attack.sweep.reused_verifications] and as flat
+      [attack.loop.iterations] in [--stats]);
     - on the SMT path one solver and one encoding serve all targets:
       thresholds are processed in ascending order, which keeps
       accumulated blocking clauses sound (a candidate blocked at

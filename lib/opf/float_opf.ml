@@ -21,7 +21,16 @@ let q_of_ptdf f = Q.of_ints (int_of_float (Float.round (f *. 1e6)) ) 1_000_000
 let obs_solves = Obs.Counter.make "opf.float_opf.solves"
 let obs_timer = Obs.Timer.make "opf.float_opf.solve"
 
-let solve_inner ?loads (topo : Grid.Topology.t) =
+type stated = {
+  problem : Certify.t;
+  objective : (int * Q.t) list;
+  constant : Q.t;
+  pg : int array;
+  topo : Grid.Topology.t;
+  loads : Q.t array;
+}
+
+let state ?loads (topo : Grid.Topology.t) =
   let grid = topo.Grid.Topology.grid in
   let b = grid.N.n_buses in
   let loads =
@@ -33,7 +42,7 @@ let solve_inner ?loads (topo : Grid.Topology.t) =
       v
   in
   match Factors.make topo with
-  | exception Failure _ -> Dc_opf.Infeasible
+  | exception Failure _ -> None
   | factors ->
     let qp = Certify.create () in
     let pg =
@@ -94,7 +103,7 @@ let solve_inner ?loads (topo : Grid.Topology.t) =
             Certify.add_ge qp gen_terms (Q.add (Q.neg cap) !load_part)
         end)
       grid.N.lines;
-    let obj =
+    let objective =
       Array.to_list
         (Array.mapi (fun k (g : N.gen) -> (pg.(k), g.N.beta)) grid.N.gens)
     in
@@ -102,38 +111,46 @@ let solve_inner ?loads (topo : Grid.Topology.t) =
       Array.fold_left (fun acc (g : N.gen) -> Q.add acc g.N.alpha) Q.zero
         grid.N.gens
     in
-    (match Certify.minimize qp obj ~constant with
-    | Certify.Infeasible -> Dc_opf.Infeasible
-    | Certify.Unbounded -> Dc_opf.Unbounded
-    | Certify.Optimal { objective; values; certified = _ } ->
-      let pg_v = Array.map (fun v -> values.(v)) pg in
-      (* recover angles/flows from a float power flow at the exact optimum;
-         [Rat.of_float] keeps the recovered values exactly as computed
-         rather than rounding them to 4 decimals *)
-      let gen_bus = Array.make b 0.0 in
-      Array.iteri
-        (fun k (g : N.gen) -> gen_bus.(g.N.gbus) <- Q.to_float pg_v.(k))
-        grid.N.gens;
-      let loads_f = Array.map Q.to_float loads in
-      let q_exact f = if Float.is_finite f then Q.of_float f else Q.zero in
-      (match Grid.Powerflow.solve_float topo ~gen:gen_bus ~load:loads_f with
-      | Ok (theta_f, flows_f) ->
-        Dc_opf.Dispatch
-          {
-            cost = objective;
-            pg = pg_v;
-            theta = Array.map q_exact theta_f;
-            flows = Array.map q_exact flows_f;
-          }
-      | Error _ ->
-        Dc_opf.Dispatch
-          {
-            cost = objective;
-            pg = pg_v;
-            theta = Array.make b Q.zero;
-            flows = Array.make (N.n_lines grid) Q.zero;
-          }))
+    Some { problem = qp; objective; constant; pg; topo; loads }
+
+let solve_stated st =
+  let grid = st.topo.Grid.Topology.grid in
+  let b = grid.N.n_buses in
+  match Certify.minimize st.problem st.objective ~constant:st.constant with
+  | Certify.Infeasible -> Dc_opf.Infeasible
+  | Certify.Unbounded -> Dc_opf.Unbounded
+  | Certify.Optimal { objective; values; certified = _ } ->
+    let pg_v = Array.map (fun v -> values.(v)) st.pg in
+    (* recover angles/flows from a float power flow at the exact optimum;
+       [Rat.of_float] keeps the recovered values exactly as computed
+       rather than rounding them to 4 decimals *)
+    let gen_bus = Array.make b 0.0 in
+    Array.iteri
+      (fun k (g : N.gen) -> gen_bus.(g.N.gbus) <- Q.to_float pg_v.(k))
+      grid.N.gens;
+    let loads_f = Array.map Q.to_float st.loads in
+    let q_exact f = if Float.is_finite f then Q.of_float f else Q.zero in
+    (match Grid.Powerflow.solve_float st.topo ~gen:gen_bus ~load:loads_f with
+    | Ok (theta_f, flows_f) ->
+      Dc_opf.Dispatch
+        {
+          cost = objective;
+          pg = pg_v;
+          theta = Array.map q_exact theta_f;
+          flows = Array.map q_exact flows_f;
+        }
+    | Error _ ->
+      Dc_opf.Dispatch
+        {
+          cost = objective;
+          pg = pg_v;
+          theta = Array.make b Q.zero;
+          flows = Array.make (N.n_lines grid) Q.zero;
+        })
 
 let solve ?loads topo =
   Obs.Counter.incr obs_solves;
-  Obs.Timer.with_ obs_timer (fun () -> solve_inner ?loads topo)
+  Obs.Timer.with_ obs_timer (fun () ->
+      match state ?loads topo with
+      | None -> Dc_opf.Infeasible
+      | Some st -> solve_stated st)

@@ -1,10 +1,3 @@
-(* Backend selection for callers that don't care which solver runs.
-
-   Historically this escalated by system size (exact angle formulation up
-   to 20 buses, exact PTDF formulation up to 60, raw float simplex above)
-   because only the small-system solvers were sound.  Now that
-   [Float_opf] certifies its float verdicts exactly ([Certify]), the
-   fastest path is also the soundest one, at every size. *)
-
-let solve_factors ?loads (topo : Grid.Topology.t) = Float_opf.solve ?loads topo
-let solve ?loads (topo : Grid.Topology.t) = Float_opf.solve ?loads topo
+(* The benchmark harness compiles against this name, so it stays as a
+   plain alias of the one production OPF. *)
+let solve_factors = Float_opf.solve

@@ -1,11 +1,5 @@
-(** Backend auto-selection by system size: the exact angle-formulation LP
-    up to 20 buses, the exact shift-factor LP up to 60, the float
-    shift-factor LP beyond — mirroring how the paper switches methods as
-    systems grow (Section IV-A). *)
-
-val solve : ?loads:Numeric.Rat.t array -> Grid.Topology.t -> Dc_opf.outcome
+(** Kept for callers compiled against the old name. *)
 
 val solve_factors :
   ?loads:Numeric.Rat.t array -> Grid.Topology.t -> Dc_opf.outcome
-(** Factor-based only (no angle formulation): exact up to 60 buses, float
-    beyond. *)
+(** {!Float_opf.solve}. *)

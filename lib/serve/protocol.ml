@@ -118,7 +118,7 @@ let default_submit =
     increase = None;
     max_candidates = 200;
     single_line = false;
-    backend = "lp";
+    backend = "factors";
     timeout = 0.;
   }
 
@@ -145,7 +145,6 @@ let submit_fields s =
   @ [
       ("max_candidates", J.Int s.max_candidates);
       ("single_line", J.Bool s.single_line);
-      ("backend", J.String s.backend);
       ("timeout", J.Float s.timeout);
     ]
 
@@ -188,32 +187,66 @@ let int_field ?default name j =
     | Some d -> Ok d
     | None -> Error (Printf.sprintf "missing field %S" name))
 
+let bool_field ~default name j =
+  match J.member name j with
+  | Some (J.Bool b) -> Ok b
+  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
+  | None -> Ok default
+
+let number_field ~default name j =
+  match J.member name j with
+  | Some (J.Float f) -> Ok f
+  | Some (J.Int n) -> Ok (float_of_int n)
+  | Some _ -> Error (Printf.sprintf "field %S must be a number" name)
+  | None -> Ok default
+
 let ( let* ) = Result.bind
+
+(* the worker parses the increase with [Rat.of_decimal_string]; checking
+   it here turns a bad value into a submit error instead of a failed
+   job.  The length and exponent caps keep that parse cheap: a digit
+   string in the millions, or an exponent like 1e999999999, would stall
+   the request loop. *)
+let increase_field j =
+  match J.member "increase" j with
+  | None -> Ok None
+  | Some (J.String s) ->
+    let exponent_digits =
+      match String.index_opt (String.lowercase_ascii s) 'e' with
+      | Some i -> String.length s - i - 1
+      | None -> 0
+    in
+    let parses () =
+      match Numeric.Rat.of_decimal_string s with
+      | _ -> true
+      | exception (Invalid_argument _ | Failure _) -> false
+    in
+    if String.length s <= 64 && exponent_digits <= 4 && parses () then
+      Ok (Some s)
+    else Error (Printf.sprintf "field \"increase\" is not a decimal: %S" s)
+  | Some _ -> Error "field \"increase\" must be a string"
 
 let submit_of_json j =
   let d = default_submit in
   let* grid = str_field "grid" j in
   let* mode = str_field ~default:d.mode "mode" j in
   let* base = str_field ~default:d.base "base" j in
-  let increase =
-    match J.member "increase" j with Some (J.String s) -> Some s | _ -> None
-  in
+  let* increase = increase_field j in
   let* max_candidates = int_field ~default:d.max_candidates "max_candidates" j in
-  let single_line =
-    match J.member "single_line" j with Some (J.Bool b) -> b | _ -> false
-  in
+  let* single_line = bool_field ~default:d.single_line "single_line" j in
   let* backend = str_field ~default:d.backend "backend" j in
-  let timeout =
-    match J.member "timeout" j with
-    | Some (J.Float f) -> f
-    | Some (J.Int n) -> float_of_int n
-    | _ -> d.timeout
-  in
+  let* timeout = number_field ~default:d.timeout "timeout" j in
   if not (List.mem mode [ "topo"; "state"; "ufdi" ]) then
     Error (Printf.sprintf "unknown mode %S" mode)
   else if not (List.mem base [ "opf"; "proportional"; "case-study" ]) then
     Error (Printf.sprintf "unknown base %S" base)
-  else if not (List.mem backend [ "lp"; "smt"; "factors" ]) then
+  else if backend = "lp" || backend = "smt" then
+    Error
+      (Printf.sprintf
+         "backend %S is no longer served: every job runs the certified \
+          shift-factor OPF; omit the field"
+         backend)
+  else if backend <> "factors" then
     Error (Printf.sprintf "unknown backend %S" backend)
   else
     Ok
@@ -326,7 +359,6 @@ let job_params s =
     ("increase", Option.value ~default:"" s.increase);
     ("max_candidates", string_of_int s.max_candidates);
     ("single_line", if s.single_line then "1" else "0");
-    ("backend", s.backend);
   ]
 
 (* cached results embed attack-vector line indices numbered by the

@@ -61,14 +61,17 @@ type submit = {
       (** decimal percent overriding the file's target increase [I] *)
   max_candidates : int;
   single_line : bool;  (** closed-form single-line enumeration *)
-  backend : string;  (** ["lp"] | ["smt"] | ["factors"] *)
+  backend : string;
+      (** always ["factors"], the certified shift-factor OPF.  Never
+          sent; the parser accepts the field absent or ["factors"] and
+          answers the retired ["lp"] and ["smt"] with an error *)
   timeout : float;  (** per-job wall-clock seconds; [<= 0] = server default *)
 }
 
 val default_submit : submit
 (** [mode = "topo"], [base = "case-study"], no increase override,
-    [max_candidates = 200], SMT enumeration, [backend = "lp"], server
-    default timeout — mirroring the CLI defaults of [topoguard impact]. *)
+    [max_candidates = 200], SMT enumeration, server default timeout —
+    mirroring the CLI defaults of [topoguard impact]. *)
 
 type request =
   | Submit of submit
@@ -91,6 +94,9 @@ type request =
 
 val json_of_request : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result
+(** Every submit field is type-checked: a wrongly typed field, or an
+    ["increase"] that is not a decimal, is an error rather than a
+    silently applied default. *)
 
 val request_id_of_json : Obs.Json.t -> string option
 (** The optional ["request_id"] a client attached to a request object;
@@ -115,7 +121,7 @@ val with_trace :
 
 val job_params : submit -> (string * string) list
 (** The key-relevant scenario parameters (mode, base, increase override,
-    candidate bound, enumeration strategy, backend).  The timeout is
+    candidate bound, enumeration strategy).  The timeout is
     deliberately excluded: it bounds the computation, it does not change
     the answer. *)
 

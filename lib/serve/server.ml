@@ -113,11 +113,6 @@ let mode_of = function
   | "ufdi" -> Attack.Encoder.Ufdi_only
   | _ -> Attack.Encoder.Topology_only
 
-let backend_of = function
-  | "smt" -> I.Smt_bounded
-  | "factors" -> I.Fast_factors
-  | _ -> I.Lp_exact
-
 (* mirror of the CLI's --base resolution: the calibrated 5-bus dispatch
    when it applies, the OPF operating point otherwise *)
 let base_state_of (spec : Grid.Spec.t) kind =
@@ -187,7 +182,6 @@ let execute ~store (job : job) =
     {
       I.default_config with
       I.mode = mode_of submit.Protocol.mode;
-      backend = backend_of submit.Protocol.backend;
       max_candidates = submit.Protocol.max_candidates;
       use_closed_form = submit.Protocol.single_line;
       max_topology_changes =

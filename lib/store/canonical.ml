@@ -126,13 +126,13 @@ let key ~params spec =
    shifted loads): the verdict is the poisoned optimum, which depends on
    nothing else, so scenarios differing only in attacker metadata share
    entries. *)
-let verify_key ~backend ~mapped ~loads g =
+let verify_key ~mapped ~loads g =
   let buf = Buffer.create 1024 in
   let add s =
     Buffer.add_string buf s;
     Buffer.add_char buf '\n'
   in
-  add ("topoguard-verify v2 " ^ backend);
+  add "topoguard-verify v3";
   add (Printf.sprintf "grid %d" g.N.n_buses);
   Array.iter add
     (sorted_lines

@@ -37,10 +37,9 @@ val of_spec : Grid.Spec.t -> string
 
 val key : params:(string * string) list -> Grid.Spec.t -> string
 (** Store key for a whole job: hash of {!of_spec} and the name-sorted
-    [params] (mode, precision, backend, ... — caller-defined strings). *)
+    [params] (mode, base, increase, ... — caller-defined strings). *)
 
 val verify_key :
-  backend:string ->
   mapped:bool array ->
   loads:Numeric.Rat.t array ->
   Grid.Network.t ->
@@ -58,7 +57,10 @@ val verify_key :
     poisoned optimum, so it does not split entries.  Thresholds are
     deliberately excluded — the poisoned optimum is
     threshold-independent, so sweeps over the impact target [I] share
-    these entries. *)
+    these entries.  The key's version tag ([topoguard-verify v3]) names
+    the one OPF formulation that fills these entries, the certified
+    shift-factor solve: journals written when an angle-formulation
+    verdict could land under the same key miss instead of answering. *)
 
 val ordering : Grid.Network.t -> string
 (** Fingerprint of the {e non-canonical} row ordering: the line,

@@ -515,7 +515,7 @@ let audit_tests =
           let cands = Attack.Single_line.all_feasible ~scenario:spec ~base in
           Alcotest.(check bool) "has candidates" true (cands <> []);
           let dispatch =
-            match Opf.Opf_auto.solve_factors (Grid.Topology.make grid) with
+            match Opf.Float_opf.solve (Grid.Topology.make grid) with
             | Opf.Dc_opf.Dispatch d -> d
             | _ -> Alcotest.fail "base infeasible"
           in
@@ -740,6 +740,29 @@ let opf_equivalence_exact solve name spec =
     (name ^ ": identical exact optimum")
     true (Q.equal a b)
 
+(* the certified path's stated LP on the exact simplex, presolve on and
+   off: both equal the certified cost bit for bit *)
+let stated_equivalence name spec =
+  let topo = Grid.Topology.make spec.Grid.Spec.grid in
+  let st =
+    match Opf.Float_opf.state topo with
+    | Some st -> st
+    | None -> Alcotest.fail (name ^ ": no shift factors")
+  in
+  let exact () =
+    match
+      Certify.solve_exact st.Opf.Float_opf.problem st.Opf.Float_opf.objective
+        ~constant:st.Opf.Float_opf.constant
+    with
+    | Certify.Optimal { objective; _ } -> objective
+    | _ -> Alcotest.fail (name ^ ": exact solve found no optimum")
+  in
+  let a = with_exact_presolve true exact in
+  let b = with_exact_presolve false exact in
+  let c = cost_of name (Opf.Float_opf.solve_stated st) in
+  Alcotest.(check bool) (name ^ ": identical exact optimum") true (Q.equal a b);
+  Alcotest.(check bool) (name ^ ": certified = exact") true (Q.equal a c)
+
 let opf_equivalence_float name spec =
   let topo = Grid.Topology.make spec.Grid.Spec.grid in
   let a =
@@ -764,11 +787,12 @@ let opf_tests =
         opf_equivalence_exact Opf.Dc_opf.solve "dc14"
           (Grid.Test_systems.ieee14 ()));
     test "fast-opf 30-bus: presolve preserves the optimum" (fun () ->
-        opf_equivalence_exact Opf.Fast_opf.solve "fast30"
-          (Grid.Test_systems.ieee 30));
+        stated_equivalence "ptdf30" (Grid.Test_systems.ieee 30));
     slow "fast-opf 57-bus: presolve preserves the optimum" (fun () ->
-        opf_equivalence_exact Opf.Fast_opf.solve "fast57"
-          (Grid.Test_systems.ieee 57));
+        stated_equivalence "ptdf57" (Grid.Test_systems.ieee 57));
+    test "certified cost = exact solve of the stated LP (5/14-bus)" (fun () ->
+        stated_equivalence "ptdf5" (Grid.Test_systems.ieee 5);
+        stated_equivalence "ptdf14" (Grid.Test_systems.ieee14 ()));
     test "float-opf 30/57/118-bus: presolve preserves the optimum" (fun () ->
         opf_equivalence_float "float30" (Grid.Test_systems.ieee 30);
         opf_equivalence_float "float57" (Grid.Test_systems.ieee 57);
@@ -783,7 +807,7 @@ let opf_tests =
    rows collapse to bounds: strictly fewer exact pivots (and a large
    wall-clock win — 30-bus drops from ~18s to ~7s).  The float
    angle-formulation below shows the same effect more dramatically.
-   Warm-started PTDF paths (Fast_opf/Float_opf) keep the same pivot
+   The warm-started PTDF path (Float_opf) keeps the same pivot
    count — presolve only removes rows the warm start already satisfies —
    which the 118-bus test pins down alongside the row-elimination
    counter. *)

@@ -255,21 +255,63 @@ let impact_tests =
         match Topoguard.Impact.analyze ~config ~scenario ~base () with
         | Topoguard.Impact.No_attack _ -> ()
         | _ -> Alcotest.fail "expected no attack at 9%");
-    Alcotest.test_case "SMT-bounded backend agrees with exact LP" `Quick
+    Alcotest.test_case
+      "SMT OPF verdicts agree with the certified OPF (5/14-bus)" `Quick
       (fun () ->
-        let scenario, base = cs1_base () in
-        let run backend =
-          let config =
-            { Topoguard.Impact.default_config with Topoguard.Impact.backend }
-          in
-          match Topoguard.Impact.analyze ~config ~scenario ~base () with
-          | Topoguard.Impact.Attack_found s ->
-            Some s.Topoguard.Impact.vector.Vec.excluded
-          | _ -> None
+        (* Eq. 37 (no dispatch at or below the threshold) and Eq. 38 (the
+           OPF converges) asked of the paper's SMT model must agree with
+           the production verdict — the certified PTDF optimum against
+           the threshold — on every single-line instance: each line
+           opened under the existing loads, and each stealthy candidate
+           with its shifted loads.  Thresholds sit 0.1% either side of
+           the certified optimum, well outside the formulation
+           tolerance. *)
+        let verdicts ~loads topo =
+          match Opf.Float_opf.solve ~loads topo with
+          | Opf.Dc_opf.Dispatch d ->
+            let c = d.Opf.Dc_opf.cost in
+            let below = Q.mul c (Q.of_ints 999 1000)
+            and above = Q.mul c (Q.of_ints 1001 1000) in
+            Alcotest.(check bool) "success just below the optimum" true
+              (Opf.Smt_opf.feasible ~loads topo ~budget:below = `Unsat);
+            Alcotest.(check bool) "cheaper dispatch just above it" true
+              (Opf.Smt_opf.feasible ~loads topo ~budget:above = `Sat)
+          | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
+            Alcotest.(check bool) "no convergence under any budget" true
+              (Opf.Smt_opf.feasible ~loads topo ~budget:(Q.of_int 10_000_000)
+              = `Unsat)
         in
-        Alcotest.(check (option (list int)))
-          "same attack" (run Topoguard.Impact.Lp_exact)
-          (run Topoguard.Impact.Smt_bounded));
+        let instances = ref 0 in
+        List.iter
+          (fun (spec, base) ->
+            let grid = spec.Grid.Spec.grid in
+            let loads = Array.make grid.N.n_buses Q.zero in
+            Array.iter
+              (fun (l : N.load) -> loads.(l.N.lbus) <- l.N.existing)
+              grid.N.loads;
+            Array.iteri
+              (fun i _ ->
+                let mapped = N.true_topology grid in
+                if mapped.(i) then begin
+                  mapped.(i) <- false;
+                  incr instances;
+                  verdicts ~loads (Grid.Topology.make ~mapped grid)
+                end)
+              grid.N.lines;
+            List.iter
+              (fun (_, _, vec) ->
+                incr instances;
+                verdicts ~loads:vec.Vec.est_loads
+                  (Grid.Topology.make ~mapped:vec.Vec.mapped grid))
+              (Attack.Single_line.all_feasible ~scenario:spec ~base))
+          [
+            cs1_base ();
+            (let spec = TS.ieee 14 in
+             match Attack.Base_state.of_opf spec.Grid.Spec.grid with
+             | Ok b -> (spec, b)
+             | Error e -> Alcotest.fail e);
+          ];
+        Alcotest.(check bool) "instances checked" true (!instances >= 27));
     Alcotest.test_case "fast-factors backend agrees on CS1" `Quick (fun () ->
         let scenario, base = cs1_base () in
         let config =

@@ -2,9 +2,9 @@
    LPs where the certified optimum must equal the exact simplex optimum,
    adversarial cases (degenerate bases, near-ties below the float solver's
    epsilon, a hand-corrupted certificate that must be rejected into the
-   exact fallback), OPF cost agreement between the certified-float and
-   exact backends, and verify-cache interchangeability of certified
-   results with the exact backend. *)
+   exact fallback), OPF cost agreement of the certified PTDF OPF with the
+   exact solve of its own stated LP and with the exact angle LP, and
+   verify-cache reuse across impact targets. *)
 
 module Q = Numeric.Rat
 module B = Numeric.Bigint
@@ -216,64 +216,65 @@ let adversarial_tests =
         | _ -> Alcotest.fail "expected optima on both paths");
   ]
 
-(* ---- OPF agreement: certified float vs exact backends ----
+(* ---- OPF agreement: the certified PTDF OPF vs its oracles ----
 
-   The residual gap is formulation, not solver error: Float_opf takes its
-   PTDF coefficients from a float factorization (each rounded exactly to
-   the nearest dyadic rational), Dc_opf solves the exact angle
-   formulation and Fast_opf a 1e-5-rounded PTDF formulation.  Costs agree
-   to about a cent, as in the existing cross-backend tests. *)
+   Against the exact simplex on the very LP the certified path states
+   (Float_opf.state), costs are bit-equal.  Against the exact angle
+   formulation (Dc_opf) the residual gap is formulation, not solver
+   error: Float_opf's PTDF coefficients come from a float factorization
+   rounded to 1e-6 steps.  That gap stays within the relative
+   formulation tolerance of docs/certification.md. *)
 
-let certified_cost name topo =
+let certified name topo =
   let outcome, ok_d = counting c_ok (fun () -> Opf.Float_opf.solve topo) in
   Alcotest.(check bool) (name ^ ": solve certified") true (ok_d >= 1);
   match outcome with
-  | Opf.Dc_opf.Dispatch d -> Q.to_float d.Opf.Dc_opf.cost
+  | Opf.Dc_opf.Dispatch d -> d.Opf.Dc_opf.cost
   | _ -> Alcotest.fail (name ^ ": certified float OPF found no dispatch")
 
-let exact_cost name = function
-  | Opf.Dc_opf.Dispatch d -> Q.to_float d.Opf.Dc_opf.cost
-  | _ -> Alcotest.fail (name ^ ": exact backend found no dispatch")
+(* the certified path's own stated LP on the exact simplex only *)
+let stated_exact name topo =
+  match Opf.Float_opf.state topo with
+  | None -> Alcotest.fail (name ^ ": no shift factors")
+  | Some st -> (
+    match
+      Certify.solve_exact st.Opf.Float_opf.problem st.Opf.Float_opf.objective
+        ~constant:st.Opf.Float_opf.constant
+    with
+    | Certify.Optimal { objective; _ } -> objective
+    | _ -> Alcotest.fail (name ^ ": exact solve found no optimum"))
 
-(* formulation tolerance is relative: the measured cross-formulation gap
-   is ~1e-6 of the cost, which on a 57-bus ~13k cost exceeds a cent *)
-let rel_close a b = Float.abs (a -. b) <= 1e-4 *. (1.0 +. Float.abs b)
+let rel_close a b = Float.abs (a -. b) <= 1e-5 *. Float.abs b
+
+let equals_stated_exact n () =
+  let name = string_of_int n in
+  let topo = T.make (TS.ieee n).Grid.Spec.grid in
+  Alcotest.check qc (name ^ ": bit-equal cost") (stated_exact name topo)
+    (certified name topo)
 
 let opf_tests =
   [
     Alcotest.test_case "IEEE-14: agrees with the exact angle LP" `Quick
       (fun () ->
         let grid = (TS.ieee 14).Grid.Spec.grid in
-        let c = certified_cost "14" (T.make grid) in
-        let e = exact_cost "14" (Opf.Dc_opf.base_case grid) in
+        let c = Q.to_float (certified "14" (T.make grid)) in
+        let e =
+          match Opf.Dc_opf.base_case grid with
+          | Opf.Dc_opf.Dispatch d -> Q.to_float d.Opf.Dc_opf.cost
+          | _ -> Alcotest.fail "14: angle LP found no dispatch"
+        in
         Alcotest.(check bool) "costs agree (relative)" true (rel_close c e));
+    Alcotest.test_case "IEEE-5/14: equals the exact solve of the stated LP"
+      `Quick (fun () ->
+        equals_stated_exact 5 ();
+        equals_stated_exact 14 ());
     Alcotest.test_case "IEEE-30: agrees with the exact PTDF LP" `Quick
-      (fun () ->
-        let grid = (TS.ieee 30).Grid.Spec.grid in
-        let c = certified_cost "30" (T.make grid) in
-        let e = exact_cost "30" (Opf.Fast_opf.solve (T.make grid)) in
-        Alcotest.(check bool) "costs agree (relative)" true (rel_close c e));
+      (equals_stated_exact 30);
     Alcotest.test_case "IEEE-57: agrees with the exact PTDF LP" `Quick
-      (fun () ->
-        let grid = (TS.ieee 57).Grid.Spec.grid in
-        let c = certified_cost "57" (T.make grid) in
-        let e = exact_cost "57" (Opf.Fast_opf.solve (T.make grid)) in
-        Alcotest.(check bool) "costs agree (relative)" true (rel_close c e));
+      (equals_stated_exact 57);
   ]
 
-(* ---- verify-cache interchangeability with the exact backend ---- *)
-
-let cs1_base () =
-  let scenario = TS.case_study_1 () in
-  let base =
-    match
-      Attack.Base_state.of_dispatch scenario.Grid.Spec.grid
-        ~gen:(TS.case_study_base_dispatch ())
-    with
-    | Ok b -> b
-    | Error e -> failwith e
-  in
-  (scenario, base)
+(* ---- verify-cache reuse across impact targets ---- *)
 
 let store_tests =
   [
@@ -284,29 +285,39 @@ let store_tests =
           | Ok c -> c
           | Error e -> Alcotest.fail e
         in
-        let scenario, base = cs1_base () in
-        let run backend =
-          let config = { I.default_config with I.backend; store = Some cache } in
+        let scenario = TS.ieee 5 in
+        let base =
+          match
+            Attack.Base_state.of_dispatch scenario.Grid.Spec.grid
+              ~gen:(TS.case_study_base_dispatch ())
+          with
+          | Ok b -> b
+          | Error e -> Alcotest.fail e
+        in
+        let run ?store pct =
+          let scenario =
+            { scenario with Grid.Spec.min_increase_pct = Q.of_int pct }
+          in
+          let config = { I.default_config with I.store } in
           match I.analyze ~config ~scenario ~base () with
           | I.Attack_found s -> s
-          | I.No_attack _ -> Alcotest.fail "expected an attack on cs1"
+          | I.No_attack _ -> Alcotest.failf "expected an attack at %d%%" pct
           | I.Base_infeasible e -> Alcotest.fail ("base infeasible: " ^ e)
         in
-        (* certified-float run populates the store under the shared
-           "exact" backend tag... *)
-        let s1, ok_d = counting c_ok (fun () -> run I.Fast_factors) in
+        (* a 1% job fills the store with certified verdicts... *)
+        let _, ok_d = counting c_ok (fun () -> run ~store:cache 1) in
         Alcotest.(check bool) "certified solves ran" true (ok_d >= 1);
         let filled = Store.Cache.length cache in
         Alcotest.(check bool) "store populated" true (filled > 0);
-        (* ...and the exact backend hits every one of those entries: no
-           new entry is written, and the cached poisoned cost is reused
-           verbatim *)
-        let s2 = run I.Lp_exact in
+        (* ...which a 2% job on the same store reuses, answering exactly
+           what a fresh 2% job answers *)
+        let warm = run ~store:cache 2 in
         Alcotest.(check int) "no new store entries" filled
           (Store.Cache.length cache);
-        (match (s1.I.poisoned_cost, s2.I.poisoned_cost) with
-        | Some a, Some b -> Alcotest.check qc "cached poisoned cost reused" a b
-        | _ -> Alcotest.fail "LP backends must report a poisoned cost");
+        let fresh = run 2 in
+        Alcotest.(check (option qc)) "cached poisoned cost = fresh"
+          fresh.I.poisoned_cost warm.I.poisoned_cost;
+        Alcotest.check qc "same base cost" fresh.I.base_cost warm.I.base_cost;
         Store.Cache.close cache);
   ]
 

@@ -12,16 +12,7 @@ module Ring = Cluster.Ring
 let grid_text = Grid.Spec.print (Grid.Test_systems.case_study_1 ())
 
 let submit_of ?(increase = None) ?(grid = grid_text) () =
-  {
-    P.grid;
-    mode = "topo";
-    base = "case-study";
-    increase;
-    max_candidates = 50;
-    single_line = true;
-    backend = "lp";
-    timeout = 0.;
-  }
+  { P.default_submit with grid; increase; max_candidates = 50; single_line = true }
 
 let keys n = List.init n (Printf.sprintf "job:key-%d")
 

@@ -1,5 +1,6 @@
-(* Tests for the OPF stack: exact LP DC-OPF, the SMT bounded-cost model,
-   PTDF/LODF/LCDF distribution factors and the shift-factor fast OPF. *)
+(* Tests for the OPF stack: the exact angle LP and the SMT bounded-cost
+   model (the oracles), PTDF/LODF/LCDF distribution factors, and the
+   production certified shift-factor OPF checked against both. *)
 
 module Q = Numeric.Rat
 module N = Grid.Network
@@ -244,26 +245,60 @@ let factor_tests =
           (Float.is_nan (Opf.Factors.lodf f ~outage:5 0)));
   ]
 
+(* ---- the production OPF (Float_opf) against its oracles ----
+
+   The certified PTDF path is exact for the LP it states (PTDFs rounded to
+   1e-6 steps), so against Certify.solve_exact on that same LP costs are
+   bit-equal; against the exact angle LP (Dc_opf) they agree within the
+   relative formulation tolerance stated in docs/certification.md. *)
+
+let formulation_tolerance = 1e-5
+
+let within_formulation name a b =
+  let a = Q.to_float a and b = Q.to_float b in
+  if Float.abs (a -. b) > formulation_tolerance *. Float.abs b then
+    Alcotest.failf "%s: certified %.6f vs angle LP %.6f" name a b
+
+let certified_vs_angle ?loads name topo =
+  match (Opf.Float_opf.solve ?loads topo, Opf.Dc_opf.solve ?loads topo) with
+  | Opf.Dc_opf.Dispatch c, Opf.Dc_opf.Dispatch a ->
+    within_formulation name c.Opf.Dc_opf.cost a.Opf.Dc_opf.cost
+  | Opf.Dc_opf.Infeasible, Opf.Dc_opf.Infeasible -> ()
+  | _ -> Alcotest.failf "%s: formulations disagree on convergence" name
+
+let stated_vs_exact name topo =
+  match Opf.Float_opf.state topo with
+  | None -> Alcotest.failf "%s: no shift factors" name
+  | Some st -> (
+    let exact =
+      Certify.solve_exact st.Opf.Float_opf.problem st.Opf.Float_opf.objective
+        ~constant:st.Opf.Float_opf.constant
+    in
+    match (Opf.Float_opf.solve_stated st, exact) with
+    | Opf.Dc_opf.Dispatch d, Certify.Optimal { objective; _ } ->
+      Alcotest.check qc (name ^ ": bit-equal cost") objective d.Opf.Dc_opf.cost
+    | _ -> Alcotest.failf "%s: expected optima on both solves" name)
+
+(* the first ranked single-line attack on a grid, as a poisoned
+   (topology, loads) instance *)
+let first_single_line spec =
+  let grid = spec.Grid.Spec.grid in
+  match Attack.Base_state.of_opf grid with
+  | Error _ -> None
+  | Ok base -> (
+    match Attack.Single_line.all_feasible ~scenario:spec ~base with
+    | [] -> None
+    | (_, _, vec) :: _ ->
+      Some
+        ( T.make ~mapped:vec.Attack.Vector.mapped grid,
+          vec.Attack.Vector.est_loads ))
+
 let fast_opf_tests =
   [
     Alcotest.test_case "agrees with the exact LP on the 5-bus system" `Quick
-      (fun () ->
-        (* factor coefficients are rounded to 6 digits, so costs agree to
-           about a cent, not exactly *)
-        let d1 = dispatch_exn (Opf.Dc_opf.base_case five) in
-        let d2 = dispatch_exn (Opf.Fast_opf.solve (T.make five)) in
-        Alcotest.(check bool) "cost within a cent" true
-          (close ~eps:1e-2
-             (Q.to_float d1.Opf.Dc_opf.cost)
-             (Q.to_float d2.Opf.Dc_opf.cost)));
+      (fun () -> certified_vs_angle "5-bus" (T.make five));
     Alcotest.test_case "agrees with the exact LP on IEEE-14" `Quick (fun () ->
-        let grid = (TS.ieee 14).Grid.Spec.grid in
-        let d1 = dispatch_exn (Opf.Dc_opf.base_case grid) in
-        let d2 = dispatch_exn (Opf.Fast_opf.solve (T.make grid)) in
-        Alcotest.(check bool) "cost within a cent" true
-          (close ~eps:1e-2
-             (Q.to_float d1.Opf.Dc_opf.cost)
-             (Q.to_float d2.Opf.Dc_opf.cost)));
+        certified_vs_angle "14-bus" (T.make (TS.ieee 14).Grid.Spec.grid));
     Alcotest.test_case "handles poisoned topology and loads" `Quick (fun () ->
         let mapped = N.true_topology five in
         mapped.(5) <- false;
@@ -271,15 +306,47 @@ let fast_opf_tests =
           [| Q.zero; Q.of_ints 21 100; Q.of_ints 32 100; Q.of_ints 10 100;
              Q.of_ints 20 100 |]
         in
-        let topo = T.make ~mapped five in
-        match (Opf.Dc_opf.solve ~loads topo, Opf.Fast_opf.solve ~loads topo) with
-        | Opf.Dc_opf.Dispatch a, Opf.Dc_opf.Dispatch b ->
-          (* factor rounding: equal to ~1e-4 *)
-          Alcotest.(check bool) "costs close" true
-            (close ~eps:1e-2 (Q.to_float a.Opf.Dc_opf.cost)
-               (Q.to_float b.Opf.Dc_opf.cost))
-        | Opf.Dc_opf.Infeasible, Opf.Dc_opf.Infeasible -> ()
-        | _ -> Alcotest.fail "backends disagree on feasibility");
+        certified_vs_angle ~loads "poisoned 5-bus" (T.make ~mapped five));
+    Alcotest.test_case "cost equals the exact solve of its stated LP" `Quick
+      (fun () ->
+        List.iter
+          (fun n ->
+            stated_vs_exact (Printf.sprintf "%d-bus" n)
+              (T.make (TS.ieee n).Grid.Spec.grid))
+          [ 5; 14; 30; 57 ]);
+    Alcotest.test_case "differential: angle LP on bundled and 100 seeded grids"
+      `Slow (fun () ->
+        (* base and first single-line poisoned instance of the bundled
+           grids up to 30 buses and of 100 seeded 8-30-bus grids; the
+           exact angle LP dominates the run time, so the instances are
+           spread over two domains *)
+        let rng = Grid.Gen.Rng.make 2024 in
+        let generated =
+          List.init 100 (fun i ->
+              let n = 8 + Grid.Gen.Rng.int rng 23 in
+              let seed = Grid.Gen.Rng.int rng 1_000_000 in
+              (Printf.sprintf "gen %d (n=%d seed=%d)" i n seed,
+               Grid.Gen.make ~seed n))
+        in
+        let bundled =
+          List.map (fun n -> (Printf.sprintf "ieee %d" n, TS.ieee n)) [ 5; 14; 30 ]
+        in
+        let poisoned =
+          Pool.with_pool ~jobs:2 (fun pool ->
+              Pool.map pool
+                ~f:(fun (name, spec) ->
+                  certified_vs_angle (name ^ " base")
+                    (T.make spec.Grid.Spec.grid);
+                  match first_single_line spec with
+                  | None -> 0
+                  | Some (topo, loads) ->
+                    certified_vs_angle ~loads (name ^ " poisoned") topo;
+                    1)
+                (bundled @ generated))
+        in
+        (* most seeded grids admit a stealthy single-line attack *)
+        Alcotest.(check bool) "poisoned instances checked" true
+          (List.fold_left ( + ) 0 poisoned >= 80));
   ]
 
 let () =

@@ -252,7 +252,7 @@ let contingency_tests =
     Alcotest.test_case "14-bus screen: jobs=4 == jobs=1" `Quick (fun () ->
         let grid = (Grid.Test_systems.ieee 14).Grid.Spec.grid in
         let topo = Grid.Topology.make grid in
-        match Opf.Opf_auto.solve topo with
+        match Opf.Float_opf.solve topo with
         | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
           Alcotest.fail "base OPF failed"
         | Opf.Dc_opf.Dispatch d ->

@@ -10,13 +10,10 @@ let grid_text = Grid.Spec.print (Grid.Test_systems.case_study_1 ())
 
 let submit_of t =
   {
-    P.grid = grid_text;
-    mode = "topo";
-    base = "case-study";
-    increase = None;
+    P.default_submit with
+    grid = grid_text;
     max_candidates = 50;
     single_line = true;
-    backend = "lp";
     timeout = t;
   }
 
@@ -56,18 +53,41 @@ let protocol_tests =
           (P.request_id_of_json
              (J.Obj [ ("op", J.String "stats"); ("request_id", J.Int 3) ])));
     Alcotest.test_case "invalid enum values are rejected" `Quick (fun () ->
+        let submit field value =
+          J.Obj [ ("op", J.String "submit"); ("grid", J.String "x");
+                  (field, value) ]
+        in
         List.iter
           (fun j ->
             match P.request_of_json j with
             | Error _ -> ()
-            | Ok _ -> Alcotest.fail "accepted invalid request")
+            | Ok _ -> Alcotest.failf "accepted invalid request %s" (J.to_string j))
           [
             J.Obj [ ("op", J.String "warp") ];
-            J.Obj [ ("op", J.String "submit"); ("grid", J.String "x");
-                    ("mode", J.String "sideways") ];
-            J.Obj [ ("op", J.String "submit"); ("grid", J.String "x");
-                    ("backend", J.String "quantum") ];
+            submit "mode" (J.String "sideways");
+            submit "backend" (J.String "quantum");
+            (* the retired formulations are refused, not remapped *)
+            submit "backend" (J.String "lp");
+            submit "backend" (J.String "smt");
+            (* wrongly typed fields are errors, not silent defaults *)
+            submit "increase" (J.Int 5);
+            submit "increase" (J.String "abc");
+            submit "increase" (J.String "1e999999999");
+            submit "single_line" (J.String "true");
+            submit "timeout" (J.String "1");
             J.Obj [ ("op", J.String "status") ];
+          ];
+        (* the one backend left is accepted, absent or named *)
+        List.iter
+          (fun j ->
+            match P.request_of_json j with
+            | Ok (P.Submit s) ->
+              Alcotest.(check string) "backend" "factors" s.P.backend
+            | Ok _ -> Alcotest.fail "wrong constructor"
+            | Error e -> Alcotest.failf "rejected %s: %s" (J.to_string j) e)
+          [
+            J.Obj [ ("op", J.String "submit"); ("grid", J.String "x") ];
+            submit "backend" (J.String "factors");
           ]);
     Alcotest.test_case "job key ignores the timeout" `Quick (fun () ->
         let spec = Grid.Test_systems.case_study_1 () in
@@ -225,14 +245,15 @@ let server_tests =
           ~finally:(fun () -> if Sys.file_exists socket then Sys.remove socket)
           (fun () ->
             let c = connect_retry socket in
-            (* occupy the single worker with a slow job (57-bus, exact
-               backend) so the next submission stays queued *)
+            (* occupy the single worker with a slow job (a seeded
+               300-bus grid: seconds of single-line verification) so the
+               next submission stays queued *)
             let slow =
               {
                 (submit_of 0.) with
-                P.grid = Grid.Spec.print (Grid.Test_systems.ieee 57);
+                P.grid = Grid.Spec.print (Grid.Gen.make ~seed:300 300);
                 base = "proportional";
-                single_line = true;
+                max_candidates = 200;
               }
             in
             let r_slow = expect_ok (Serve.Client.submit c slow) in

@@ -51,7 +51,7 @@ let ieee14 () =
 
 let case5 () = Grid.Test_systems.case_study_1 ()
 
-let params = [ ("mode", "topo"); ("backend", "lp") ]
+let params = [ ("mode", "topo"); ("base", "opf") ]
 
 (* ---- canonical-key invariance ---- *)
 
@@ -85,25 +85,25 @@ let canonical_tests =
         Alcotest.(check bool)
           "mode matters" false
           (C.key ~params spec
-          = C.key ~params:[ ("mode", "state"); ("backend", "lp") ] spec));
+          = C.key ~params:[ ("mode", "state"); ("base", "opf") ] spec));
     Alcotest.test_case "verify_key separates topology and loads" `Quick
       (fun () ->
         let spec = case5 () in
         let g = spec.Grid.Spec.grid in
         let mapped = Array.make (N.n_lines g) true in
         let loads = Array.make g.N.n_buses (q 1 10) in
-        let k0 = C.verify_key ~backend:"lp" ~mapped ~loads g in
+        let k0 = C.verify_key ~mapped ~loads g in
         let mapped' = Array.copy mapped in
         mapped'.(2) <- false;
-        let k1 = C.verify_key ~backend:"lp" ~mapped:mapped' ~loads g in
+        let k1 = C.verify_key ~mapped:mapped' ~loads g in
         let loads' = Array.copy loads in
         loads'.(1) <- q 2 10;
-        let k2 = C.verify_key ~backend:"lp" ~mapped ~loads:loads' g in
+        let k2 = C.verify_key ~mapped ~loads:loads' g in
         Alcotest.(check bool) "topology matters" false (k0 = k1);
         Alcotest.(check bool) "loads matter" false (k0 = k2);
         Alcotest.(check string)
           "deterministic" k0
-          (C.verify_key ~backend:"lp" ~mapped ~loads g));
+          (C.verify_key ~mapped ~loads g));
     Alcotest.test_case "verify_key names the physical topology, not row bits"
       `Quick (fun () ->
         (* two .grid files that are row permutations of each other share a
@@ -136,7 +136,7 @@ let canonical_tests =
           (g.N.lines.(0) = g.N.lines.(1));
         let mapped = Array.init nl (fun i -> i <> 0) in
         let mapped' = Array.init nl (fun i -> i <> 1) in
-        let k ~mapped g = C.verify_key ~backend:"lp" ~mapped ~loads g in
+        let k ~mapped g = C.verify_key ~mapped ~loads g in
         Alcotest.(check string) "same physical topology, same key"
           (k ~mapped g)
           (k ~mapped:mapped' g');
